@@ -29,7 +29,7 @@ from .decoder import (
     feasibility_oracle,
     innovation_bound,
 )
-from .detectors import AlarmVerdict, id1, id2
+from .detectors import AlarmVerdict, id1, id2, innovation_check
 from .attackability import (
     PaVerdict,
     PolicyVerdict,
@@ -43,7 +43,9 @@ from .attackability import (
 from .sim import (
     AuthPolicy,
     AuthViolation,
+    NoiseBoundViolation,
     NoiseSpec,
+    Periodic,
     SimTrace,
     apply_attack,
     run_closed_loop,
@@ -52,7 +54,6 @@ from .sim import (
 from .synth import (
     AttackPlan,
     NotPerfectlyAttackable,
-    single_injection_attack,
     single_step_attack,
     stealth_slack,
     sustained_attack,

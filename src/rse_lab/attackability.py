@@ -11,6 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import (
+    ConfigError,
     SensorSet,
     SystemModel,
     build_auth_O,
@@ -56,7 +57,10 @@ def pa_single_step(model: SystemModel, compromised: SensorSet):
     basis = null_basis(O_clean, model.rank_tol)
     z = np.real(basis[:, 0])
     z = z / np.linalg.norm(z)
-    assert _verify_null(O_clean, z, 10 * model.rank_tol * max(1.0, float(np.linalg.norm(O_clean, 2)) if O_clean.size else 1.0))
+    scale = max(1.0, float(np.linalg.norm(O_clean, 2))) if O_clean.size else 1.0
+    if not _verify_null(O_clean, z, 10 * model.rank_tol * scale):
+        raise ConfigError(f"single-step witness fails re-verification at rank_tol="
+                          f"{model.rank_tol:g}; the rank verdict is numerically unreliable")
     return True, z
 
 

@@ -25,8 +25,7 @@ from .config import (
 )
 from .decoder import decode as decode_window
 from .model import ConfigError
-from .sim import run_closed_loop
-from .synth import AttackPlan, NotPerfectlyAttackable, sustained_attack
+from .synth import NotPerfectlyAttackable
 
 MARGIN_BAND = 10.0  # rank margins below MARGIN_BAND * rank_tol are "indeterminate"
 
@@ -41,30 +40,6 @@ def _load_scenario(args) -> ScenarioConfig:
     if getattr(args, "config", None):
         return load_config(args.config)
     raise ConfigError("provide --config FILE or --builtin NAME")
-
-
-def _attack_callable(cfg: ScenarioConfig):
-    src = cfg.attack.get("source", "none")
-    if src == "none":
-        return None, None
-    if src == "file":
-        with open(cfg.attack["path"]) as fh:
-            plan = AttackPlan.from_csv(fh.read(), cfg.compromised, cfg.detector)
-        return plan.as_callable(), plan
-    params = {k: v for k, v in cfg.attack.items() if k != "source"}
-    plan = sustained_attack(
-        cfg.model, cfg.compromised,
-        detector=cfg.detector,
-        horizon=cfg.horizon,
-        noise=cfg.noise,
-        policy=cfg.policy,
-        start=params.get("start"),
-        epsilon=params.get("epsilon"),
-        safety=float(params.get("safety", 0.5)),
-        period=int(params.get("period", 1)),
-        alpha_gain=params.get("alpha_gain"),
-    )
-    return plan.as_callable(), plan
 
 
 def cmd_analyze(args) -> int:
@@ -92,35 +67,21 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.batch:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def one(path):
+        rc = 0
+        for path in args.batch:
             cfg = load_config(path)
-            attack_fn, _ = _attack_callable(cfg)
-            trace = run_closed_loop(
-                cfg.model, cfg.horizon, cfg.noise,
-                compromised=cfg.compromised, attack=attack_fn, policy=cfg.policy,
-                controller_gain=cfg.controller_gain, reference=cfg.reference_fn())
+            trace, _ = cfg.run()
             out = cfg.outputs.get("trace_csv")
             if out:
                 trace.write_csv(out)
-            return path, trace
-
-        rc = 0
-        with ThreadPoolExecutor() as pool:
-            for path, trace in pool.map(one, args.batch):
-                a1, a2 = trace.alarm_counts()
-                print(f"{path}: max err {trace.max_error():.6g}, "
-                      f"alarms {a1}/{a2}, violations {len(trace.violations)}")
-                if trace.indeterminate > 0.01 * trace.horizon:
-                    rc = 5
+            a1, a2 = trace.alarm_counts()
+            print(f"{path}: max err {trace.max_error():.6g}, "
+                  f"alarms {a1}/{a2}, violations {len(trace.violations)}")
+            if trace.indeterminate > 0.01 * trace.horizon:
+                rc = 5
         return rc
     cfg = _load_scenario(args)
-    attack_fn, plan = _attack_callable(cfg)
-    trace = run_closed_loop(
-        cfg.model, cfg.horizon, cfg.noise,
-        compromised=cfg.compromised, attack=attack_fn, policy=cfg.policy,
-        controller_gain=cfg.controller_gain, reference=cfg.reference_fn())
+    trace, _ = cfg.run()
     out = args.out or cfg.outputs.get("trace_csv")
     if out:
         trace.write_csv(out)
@@ -149,7 +110,7 @@ def cmd_simulate(args) -> int:
 def cmd_attack(args) -> int:
     cfg = _load_scenario(args)
     cfg.attack.setdefault("source", "synth")
-    _, plan = _attack_callable(cfg)
+    plan = cfg.attack_plan()
     if plan is None:
         raise ConfigError("scenario has no attack to emit")
     text = plan.to_csv()
@@ -227,34 +188,19 @@ def cmd_reproduce(args) -> int:
     seed = int(os.environ.get("RSE_LAB_SEED", "0"))
     wrote = []
 
-    if fig == "fig2a":
-        cfg = vtf_scenario(seed=seed)
-        trace = run_closed_loop(cfg.model, cfg.horizon, cfg.noise,
-                                compromised=cfg.compromised)
-        path = os.path.join(args.outdir, "fig2a.csv")
+    if fig in ("fig2a", "fig2b"):
+        attack = {"source": "synth"} if fig == "fig2b" else None
+        trace, _ = vtf_scenario(seed=seed, attack=attack).run()
+        path = os.path.join(args.outdir, f"{fig}.csv")
         _write_series(path, ["t_seconds", "err_norm"],
-                      [trace.t * cfg.dt, trace.err_norm])
+                      [trace.t * VTF_DT, trace.err_norm])
         wrote.append(path)
-        print(f"fig2a: max err {trace.max_error():.6g}, alarms {trace.alarm_counts()}")
-    elif fig == "fig2b":
-        cfg = vtf_scenario("vtf-attack", seed=seed, attack={"source": "synth"})
-        fn, _ = _attack_callable(cfg)
-        trace = run_closed_loop(cfg.model, cfg.horizon, cfg.noise,
-                                compromised=cfg.compromised, attack=fn)
-        path = os.path.join(args.outdir, "fig2b.csv")
-        _write_series(path, ["t_seconds", "err_norm"],
-                      [trace.t * cfg.dt, trace.err_norm])
-        wrote.append(path)
-        print(f"fig2b: max err {trace.max_error():.6g}, alarms {trace.alarm_counts()}")
+        print(f"{fig}: max err {trace.max_error():.6g}, alarms {trace.alarm_counts()}")
     elif fig == "fig2c":
         cols = []
         for L in (10, 100):
-            cfg = vtf_scenario(f"vtf-auth{L}", seed=seed,
-                               attack={"source": "synth"}, auth_period=L)
-            fn, _ = _attack_callable(cfg)
-            trace = run_closed_loop(cfg.model, cfg.horizon, cfg.noise,
-                                    compromised=cfg.compromised, attack=fn,
-                                    policy=cfg.policy)
+            trace, _ = vtf_scenario(f"vtf-auth{L}", seed=seed,
+                                    attack={"source": "synth"}, auth_period=L).run()
             cols.append(trace.err_norm)
             print(f"fig2c L={L}: max err {trace.max_error():.6g}, "
                   f"alarms {trace.alarm_counts()}")
@@ -273,14 +219,7 @@ def cmd_reproduce(args) -> int:
                     auth_period=period, with_controller=True,
                     reference={"kind": "circle", "radius": 10.0,
                                "angular_rate": 0.1, "phase": phase})
-                fn, _ = _attack_callable(cfg)
-                trace = run_closed_loop(cfg.model, cfg.horizon, cfg.noise,
-                                        compromised=cfg.compromised, attack=fn,
-                                        policy=cfg.policy,
-                                        controller_gain=cfg.controller_gain,
-                                        reference=cfg.reference_fn(),
-                                        x0=np.array([10.0 if axis == "x" else 0.0, 0.0]))
-                series[axis] = trace
+                series[axis], _ = cfg.run(x0=np.array([10.0 if axis == "x" else 0.0, 0.0]))
             t = series["x"].t * VTF_DT
             path = os.path.join(args.outdir, f"fig3_{variant}.csv")
             _write_series(
@@ -323,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="trace CSV path")
     p.add_argument("--stats", action="store_true", help="print decoder statistics")
     p.add_argument("--batch", nargs="+", metavar="CONFIG",
-                   help="run several scenario files on worker threads")
+                   help="run several scenario files, one after another")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("attack", help="emit a synthesized attack plan CSV")

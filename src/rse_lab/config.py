@@ -10,7 +10,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import ConfigError, SensorSet, SystemModel, suggest_delta_w
-from .sim import AuthPolicy, NoiseSpec
+from .sim import AuthPolicy, NoiseSpec, SimTrace, run_closed_loop
+from .synth import AttackPlan, sustained_attack
 
 __all__ = ["ScenarioConfig", "load_config", "parse_config", "vtf_model",
            "vtf_scenario", "builtin_scenarios"]
@@ -33,11 +34,42 @@ class ScenarioConfig:
     outputs: dict = field(default_factory=dict)
     name: str = "scenario"
 
-    def seconds_to_steps(self, seconds: float) -> int:
-        return int(round(seconds / self.dt))
-
     def reference_fn(self) -> Optional[Callable[[int], tuple]]:
         return make_reference(self.model, self.reference, self.dt)
+
+    def attack_plan(self) -> Optional[AttackPlan]:
+        """The scenario's attack: None, a plan read from file, or a synthesized plan."""
+        src = self.attack.get("source", "none")
+        if src == "none":
+            return None
+        if src == "file":
+            with open(self.attack["path"]) as fh:
+                return AttackPlan.from_csv(fh.read(), self.compromised, self.detector)
+        return sustained_attack(
+            self.model, self.compromised,
+            detector=self.detector,
+            horizon=self.horizon,
+            noise=self.noise,
+            policy=self.policy,
+            start=self.attack.get("start"),
+            epsilon=self.attack.get("epsilon"),
+            safety=float(self.attack.get("safety", 0.5)),
+            period=int(self.attack.get("period", 1)),
+            alpha_gain=self.attack.get("alpha_gain"),
+        )
+
+    def run(self, x0: Optional[np.ndarray] = None) -> tuple[SimTrace, Optional[AttackPlan]]:
+        """Closed-loop run of the whole scenario; returns the trace and the attack plan."""
+        plan = self.attack_plan()
+        trace = run_closed_loop(
+            self.model, self.horizon, self.noise,
+            compromised=self.compromised,
+            attack=None if plan is None else plan.as_callable(),
+            policy=self.policy,
+            controller_gain=self.controller_gain,
+            reference=self.reference_fn(),
+            x0=x0)
+        return trace, plan
 
 
 def make_reference(model: SystemModel, spec: Optional[dict], dt: float):
@@ -93,18 +125,11 @@ def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
 def _parse_config(doc: dict, name: str) -> ScenarioConfig:
     sysd = doc["system"]
     noised = doc.get("noise", {"kind": "zero"})
-    kind = noised.get("kind", "uniform_elementwise")
-    seed = _seed_override(int(noised.get("seed", 0)))
-    if kind == "zero":
-        noise = NoiseSpec(kind="zero", seed=seed)
-    elif kind == "uniform_elementwise":
-        noise = NoiseSpec(kind=kind, lo=float(noised.get("lo", -0.05)),
-                          hi=float(noised.get("hi", 0.05)), seed=seed)
-    elif kind == "ball":
-        noise = NoiseSpec(kind=kind, radius_p=float(noised.get("radius_p", 0.0)),
-                          radius_m=float(noised.get("radius_m", 0.0)), seed=seed)
-    else:
-        raise ConfigError(f"unknown noise kind {kind!r}")
+    noise = NoiseSpec(kind=noised.get("kind", "uniform_elementwise"),
+                      lo=float(noised.get("lo", -0.05)), hi=float(noised.get("hi", 0.05)),
+                      radius_p=float(noised.get("radius_p", 0.0)),
+                      radius_m=float(noised.get("radius_m", 0.0)),
+                      seed=_seed_override(int(noised.get("seed", 0))))
 
     A = np.array(sysd["A"], dtype=float)
     C = np.array(sysd["C"], dtype=float)
@@ -171,7 +196,7 @@ VTF_DT = 0.01
 VTF_GAIN = np.array([[500.0, 40.0]])  # places the loop poles at {.8, .75}
 
 
-def vtf_model(delta_w: Optional[float] = None) -> SystemModel:
+def vtf_model() -> SystemModel:
     """Double-integrator axis sampled at 10 ms with one position and two
     velocity sensors; elementwise U(-.05, .05) noise on both channels."""
     A = np.array([[1.0, 0.01], [0.0, 1.0]])
@@ -180,13 +205,13 @@ def vtf_model(delta_w: Optional[float] = None) -> SystemModel:
     N = 2
     dvp = float(np.sqrt(2) * 0.05)
     dvm = float(np.sqrt(3) * 0.05)
-    dw = suggest_delta_w(A, C, N, dvp, dvm) if delta_w is None else delta_w
-    return SystemModel(A=A, B=B, C=C, delta_w=dw, N=N, delta_vp=dvp, delta_vm=dvm)
+    return SystemModel(A=A, B=B, C=C, delta_w=suggest_delta_w(A, C, N, dvp, dvm), N=N,
+                       delta_vp=dvp, delta_vm=dvm)
 
 
 def vtf_scenario(name: str = "vtf", *, seed: int = 0, horizon: int = 6000,
                  attack: Optional[dict] = None, auth_period: Optional[int] = None,
-                 detector: str = "II", with_controller: bool = False,
+                 with_controller: bool = False,
                  reference: Optional[dict] = None) -> ScenarioConfig:
     model = vtf_model()
     policy = None
@@ -197,7 +222,6 @@ def vtf_scenario(name: str = "vtf", *, seed: int = 0, horizon: int = 6000,
         noise=NoiseSpec(kind="uniform_elementwise", lo=-0.05, hi=0.05,
                         seed=_seed_override(seed)),
         compromised=SensorSet.all(model.p),
-        detector=detector,
         attack=attack if attack is not None else {"source": "none"},
         policy=policy,
         horizon=horizon,

@@ -32,6 +32,7 @@ __all__ = [
 
 PER_STEP = "per_step_ball"
 STACKED = "stacked_ball"
+SUPPORT_CAP = 20  # support enumeration is O(2^p); larger sensor counts are refused
 
 
 @dataclass(frozen=True)
@@ -51,11 +52,30 @@ class NoiseFeasibleSet:
         if self.mode not in (PER_STEP, STACKED):
             raise ConfigError(f"unknown noise-set mode {self.mode!r}")
 
-    def contains(self, w_blocks: list[np.ndarray], delta_w: float, N: int, slack: float = 0.0) -> bool:
+    def contains(self, r: np.ndarray, delta_w: float, N: int) -> bool:
+        """Whether the sensor-major stacked residual r lies in Omega."""
         if self.mode == PER_STEP:
-            return all(np.linalg.norm(b) <= delta_w + slack for b in w_blocks)
-        total = np.sqrt(sum(float(b @ b) for b in w_blocks))
-        return total <= np.sqrt(N) * delta_w + slack
+            for k in range(N):
+                if np.linalg.norm(r[k::N]) > delta_w:
+                    return False
+            return True
+        return np.linalg.norm(r) <= np.sqrt(N) * delta_w
+
+    def project(self, r: np.ndarray, delta_w: float, N: int) -> np.ndarray:
+        """Euclidean projection of the sensor-major stacked residual r onto Omega."""
+        w = r.copy()
+        if self.mode == PER_STEP:
+            for k in range(N):
+                blk = w[k::N]
+                nb = np.linalg.norm(blk)
+                if nb > delta_w:
+                    w[k::N] = blk * (delta_w / nb) if nb > 0 else 0.0
+            return w
+        radius = np.sqrt(N) * delta_w
+        nb = np.linalg.norm(w)
+        if nb > radius:
+            w *= radius / nb if nb > 0 else 0.0
+        return w
 
 
 @dataclass
@@ -128,11 +148,10 @@ class _SupportContext:
 class WindowDecoder:
     """Reusable decoder for one (model, Omega) pair; caches per-support operators."""
 
-    def __init__(self, model: SystemModel, omega: Optional[NoiseFeasibleSet] = None,
-                 support_cap: int = 20):
-        if model.p > support_cap:
+    def __init__(self, model: SystemModel, omega: Optional[NoiseFeasibleSet] = None):
+        if model.p > SUPPORT_CAP:
             raise ConfigError(
-                f"support enumeration is O(2^p); p={model.p} exceeds cap {support_cap}")
+                f"support enumeration is O(2^p); p={model.p} exceeds cap {SUPPORT_CAP}")
         self.model = model
         self.omega = omega if omega is not None else NoiseFeasibleSet()
         self._ctx: dict[tuple[int, ...], _SupportContext] = {}
@@ -145,32 +164,6 @@ class WindowDecoder:
             ctx = _SupportContext(self.model, clean)
             self._ctx[key] = ctx
         return ctx
-
-    # -- Omega projections ----------------------------------------------------
-    def _project_omega(self, r: np.ndarray, N: int) -> np.ndarray:
-        dw = self.model.delta_w
-        w = r.copy()
-        if self.omega.mode == PER_STEP:
-            for k in range(N):
-                blk = w[k::N]
-                nb = np.linalg.norm(blk)
-                if nb > dw:
-                    w[k::N] = blk * (dw / nb) if nb > 0 else 0.0
-            return w
-        radius = np.sqrt(N) * dw
-        nb = np.linalg.norm(w)
-        if nb > radius:
-            w *= radius / nb if nb > 0 else 0.0
-        return w
-
-    def _in_omega(self, r: np.ndarray, N: int, slack: float = 0.0) -> bool:
-        dw = self.model.delta_w
-        if self.omega.mode == PER_STEP:
-            for k in range(N):
-                if np.linalg.norm(r[k::N]) > dw + slack:
-                    return False
-            return True
-        return np.linalg.norm(r) <= np.sqrt(N) * dw + slack
 
     # -- feasibility oracle ----------------------------------------------------
     def feasibility(self, clean: SensorSet, y_window: np.ndarray,
@@ -185,20 +178,20 @@ class WindowDecoder:
             return FeasibilityResult("feasible", np.zeros(self.model.n),
                                      np.empty(0), 0.0, 0)
         y_c = y_window[ctx.rows]
-        N = self.model.N
+        N, dw, omega = self.model.N, self.model.delta_w, self.omega
 
         # fast path: the deterministic (weighted) least-squares start
         x0 = ctx.G @ y_c
         r = y_c - ctx.O_c @ x0
-        if self._in_omega(r, N):
+        if omega.contains(r, dw, N):
             return FeasibilityResult("feasible", x0, r, 0.0, 0)
 
         # quick reject: even the closest affine point cannot reach Omega
         # (the per-step ball product also lives inside the sqrt(N) dw ball)
         r_ls = y_c - ctx.O_c @ (ctx.pinv @ y_c)
-        max_norm = np.sqrt(N) * self.model.delta_w
+        max_norm = np.sqrt(N) * dw
         rho = float(np.linalg.norm(r_ls))
-        if rho > max_norm + max(10 * self.omega.eps_feas, 1e-12):
+        if rho > max_norm + max(10 * omega.eps_feas, 1e-12):
             return FeasibilityResult("infeasible", None, None, rho - max_norm, 0)
 
         # alternating projections between the affine residual set and Omega
@@ -206,10 +199,10 @@ class WindowDecoder:
         r = y_c - ctx.O_c @ x_hat
         gap_prev = np.inf
         it = 0
-        for it in range(1, self.omega.max_iter + 1):
-            w = self._project_omega(r, N)
+        for it in range(1, omega.max_iter + 1):
+            w = omega.project(r, dw, N)
             gap = float(np.linalg.norm(r - w))
-            if gap < self.omega.eps_feas:
+            if gap < omega.eps_feas:
                 if stats is not None:
                     stats.oracle_iterations += it
                 return FeasibilityResult("feasible", x_hat, w, gap, it)
@@ -220,11 +213,11 @@ class WindowDecoder:
             r = y_c - ctx.O_c @ x_hat
         if stats is not None:
             stats.oracle_iterations += it
-        w = self._project_omega(r, N)
+        w = omega.project(r, dw, N)
         gap = float(np.linalg.norm(r - w))
-        if gap < self.omega.eps_feas:
+        if gap < omega.eps_feas:
             return FeasibilityResult("feasible", x_hat, w, gap, it)
-        if gap < 10 * self.omega.eps_feas:
+        if gap < 10 * omega.eps_feas:
             # too close to the boundary to call either way
             if stats is not None:
                 stats.indeterminate += 1
@@ -280,12 +273,12 @@ def decode(model: SystemModel, y_window: np.ndarray,
 
 
 def innovation_bound(model: SystemModel) -> float:
-    """Attack-free innovation bound d = 2 sqrt(N) delta_w ||O^+|| (1 + ||A||)."""
-    s = singular_values(model.O_full())
-    if s[-1] <= model.rank_tol * max(1.0, float(s[0])):
-        raise ConfigError("stacked observation matrix is rank deficient")
-    o_pinv = 1.0 / float(s[-1])
-    return 2.0 * np.sqrt(model.N) * model.delta_w * o_pinv * (1.0 + float(np.linalg.norm(model.A, 2)))
+    """Attack-free innovation bound d = 2 sqrt(N) delta_w ||O^+|| (1 + ||A||).
+
+    SystemModel guarantees that O has full column rank, so ||O^+|| is finite.
+    """
+    return (2.0 * np.sqrt(model.N) * model.delta_w * model.O_pinv_norm()
+            * (1.0 + float(np.linalg.norm(model.A, 2))))
 
 
 def detector_threshold(model: SystemModel) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 from .decoder import DecodeResult, detector_threshold
 from .model import SystemModel
 
-__all__ = ["AlarmVerdict", "id1", "id2"]
+__all__ = ["AlarmVerdict", "id1", "id2", "innovation_check"]
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,26 @@ def id1(result: DecodeResult) -> bool:
     return len(result.support) > 0
 
 
+def innovation_check(model: SystemModel, x_hat: np.ndarray, x_prev: np.ndarray,
+                     d: float, known_input: Optional[np.ndarray]) -> tuple[float, bool]:
+    """Innovation ||x_hat - (A x_prev + B u)|| between consecutive window
+    estimates, and whether it exceeds the threshold d.
+
+    known_input is the control input applied between the two window anchors
+    (a 1-d array of length m), or None in open loop.
+    """
+    predicted = model.A @ x_prev
+    if known_input is not None:
+        predicted = predicted + model.B @ known_input
+    innov = float(np.linalg.norm(x_hat - predicted))
+    # float-dust guard: with delta_w = 0 the exact threshold is 0 and machine
+    # rounding of an exact recovery must not alarm
+    eps = 1e-9 * (1.0 + float(np.linalg.norm(x_hat)))
+    return innov, innov > d + eps
+
+
 def id2(decode_t: DecodeResult, decode_prev: Optional[DecodeResult],
-        model: SystemModel, threshold: Optional[float] = None,
-        known_input: Optional[np.ndarray] = None) -> AlarmVerdict:
+        model: SystemModel, known_input: Optional[np.ndarray] = None) -> AlarmVerdict:
     """Innovation check between consecutive decodes, OR-ed with the ID_I flag.
 
     With no previous decode (t = 0) the innovation check passes vacuously and
@@ -42,15 +59,11 @@ def id2(decode_t: DecodeResult, decode_prev: Optional[DecodeResult],
     the two window anchors is known and must be compensated, mirroring the
     decoder's forced-response subtraction; pass it as known_input.
     """
-    d = detector_threshold(model) if threshold is None else threshold
+    d = detector_threshold(model)
     a1 = id1(decode_t)
     if decode_prev is None:
         return AlarmVerdict(a1, a1, 0.0, d)
-    predicted = model.A @ decode_prev.x_hat
     if known_input is not None:
-        predicted = predicted + model.B @ np.atleast_1d(np.asarray(known_input, dtype=float))
-    innov = float(np.linalg.norm(decode_t.x_hat - predicted))
-    # float-dust guard: with delta_w = 0 the exact threshold is 0 and machine
-    # rounding of an exact recovery must not alarm
-    eps = 1e-9 * (1.0 + float(np.linalg.norm(decode_t.x_hat)))
-    return AlarmVerdict(a1, a1 or innov > d + eps, innov, d)
+        known_input = np.atleast_1d(np.asarray(known_input, dtype=float))
+    innov, jump = innovation_check(model, decode_t.x_hat, decode_prev.x_hat, d, known_input)
+    return AlarmVerdict(a1, a1 or jump, innov, d)

@@ -79,17 +79,6 @@ class SensorSet:
         inside = set(self.indices)
         return SensorSet(tuple(i for i in range(1, self.p + 1) if i not in inside), self.p)
 
-    def union(self, other: "SensorSet") -> "SensorSet":
-        if other.p != self.p:
-            raise ConfigError("sensor sets over different sensor counts")
-        return SensorSet.of(set(self.indices) | set(other.indices), self.p)
-
-    def contains(self, sensor: int) -> bool:
-        return sensor in self.indices
-
-    def issubset(self, other: "SensorSet") -> bool:
-        return set(self.indices) <= set(other.indices)
-
     @property
     def indices0(self) -> tuple[int, ...]:
         """0-based indices for numpy row selection."""
@@ -270,14 +259,6 @@ class SystemModel:
     @property
     def p(self) -> int:
         return self.C.shape[0]
-
-    @property
-    def sensor_count(self) -> int:
-        return self.p
-
-    @property
-    def state_dim(self) -> int:
-        return self.n
 
     def sensors(self) -> SensorSet:
         return SensorSet.all(self.p)

@@ -11,12 +11,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .decoder import NoiseFeasibleSet, WindowDecoder, detector_threshold
-from .detectors import id1
-from .model import ConfigError, SensorSet, SystemModel
+from .decoder import WindowDecoder, detector_threshold
+from .detectors import id1, innovation_check
+from .model import ConfigError, SensorSet, StackedWindow, SystemModel
 
 __all__ = [
     "NoiseSpec",
+    "NoiseBoundViolation",
+    "Periodic",
     "AuthPolicy",
     "AuthViolation",
     "Delivered",
@@ -54,18 +56,16 @@ class NoiseSpec:
         return cls(kind="zero")
 
     def delta_vp(self, n: int) -> float:
-        if self.kind == "uniform_elementwise":
-            return float(np.sqrt(n) * max(abs(self.lo), abs(self.hi)))
-        if self.kind == "ball":
-            return float(self.radius_p)
-        return 0.0
+        return self._channel_bound(n, self.radius_p)
 
     def delta_vm(self, p: int) -> float:
+        return self._channel_bound(p, self.radius_m)
+
+    def _channel_bound(self, dim: int, radius: float) -> float:
+        """2-norm bound on one channel's per-step draw of dimension dim."""
         if self.kind == "uniform_elementwise":
-            return float(np.sqrt(p) * max(abs(self.lo), abs(self.hi)))
-        if self.kind == "ball":
-            return float(self.radius_m)
-        return 0.0
+            return float(np.sqrt(dim) * max(abs(self.lo), abs(self.hi)))
+        return float(radius) if self.kind == "ball" else 0.0
 
     def draw(self, T: int, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
         """(v_P, v_M) arrays of shape (T, n) and (T, p); draw order is fixed
@@ -91,15 +91,37 @@ def _ball_draws(rng, T: int, dim: int, radius: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Periodic:
+    """Authenticate at every t with t % period == phase (phase taken mod period)."""
+
+    period: int
+    phase: int = 0
+
+    def __post_init__(self):
+        if int(self.period) < 1:
+            raise ConfigError("authentication period must be >= 1")
+        object.__setattr__(self, "period", int(self.period))
+        object.__setattr__(self, "phase", int(self.phase) % self.period)
+
+
+@dataclass(frozen=True)
 class AuthPolicy:
     """Per-sensor authentication schedules.
 
-    Each sensor maps to None (never authenticated), a (period, phase) pair for
-    periodic schedules, or an explicit strictly increasing tuple of times.
+    Each listed sensor maps to a Periodic schedule or to a frozenset of
+    explicit authentication times; unlisted sensors are never authenticated.
     """
 
     schedules: dict
     p: int
+
+    def __post_init__(self):
+        for i, s in self.schedules.items():
+            if not isinstance(s, (Periodic, frozenset)):
+                raise ConfigError(f"schedule of sensor {i} must be Periodic or a frozenset "
+                                  f"of times, got {s!r}")
+            if not (isinstance(i, int) and 1 <= i <= self.p):
+                raise ConfigError(f"authenticated sensor {i!r} out of range 1..{self.p}")
 
     @classmethod
     def never(cls, p: int) -> "AuthPolicy":
@@ -107,28 +129,24 @@ class AuthPolicy:
 
     @classmethod
     def periodic(cls, sensors, period: int, p: int, phase: int = 0) -> "AuthPolicy":
-        if period < 1:
-            raise ConfigError("authentication period must be >= 1")
-        return cls({int(i): (int(period), int(phase) % int(period)) for i in sensors}, p)
+        sched = Periodic(period, phase)
+        return cls({int(i): sched for i in sensors}, p)
 
     @classmethod
     def explicit(cls, sensor_times: dict, p: int) -> "AuthPolicy":
         sched = {}
         for i, times in sensor_times.items():
-            ts = tuple(int(t) for t in times)
-            if list(ts) != sorted(set(ts)):
+            ts = [int(t) for t in times]
+            if ts != sorted(set(ts)):
                 raise ConfigError(f"authentication times for sensor {i} must be strictly increasing")
-            sched[int(i)] = ts
+            sched[int(i)] = frozenset(ts)
         return cls(sched, p)
 
     def authenticated(self, sensor: int, t: int) -> bool:
         s = self.schedules.get(sensor)
-        if s is None:
-            return False
-        if isinstance(s, tuple) and len(s) == 2 and isinstance(s[0], int):
-            period, phase = s
-            return t % period == phase
-        return t in s
+        if isinstance(s, Periodic):
+            return t % s.period == s.phase
+        return s is not None and t in s
 
     def auth_set(self, t: int) -> SensorSet:
         return SensorSet.of([i for i in self.schedules if self.authenticated(i, t)], self.p)
@@ -137,22 +155,25 @@ class AuthPolicy:
         return SensorSet.of(self.schedules.keys(), self.p)
 
     def common_period(self, subset: SensorSet):
-        """Common (period, aligned-phase) bound over the subset, or None.
+        """The period when every sensor of the subset shares one Periodic
+        schedule (same period and phase), else None: explicit schedules and
+        misaligned phases carry no bounded-period guarantee, which needs
+        simultaneous enforcement."""
+        scheds = {self.schedules.get(i) for i in subset}
+        if len(scheds) != 1:
+            return None
+        (s,) = scheds
+        return s.period if isinstance(s, Periodic) else None
 
-        Returns the period when every sensor in the subset is periodic with
-        the same period and phase; explicit schedules and misaligned phases
-        yield None (the over-time guarantee needs simultaneous enforcement).
-        """
-        got = None
-        for i in subset:
-            s = self.schedules.get(i)
-            if not (isinstance(s, tuple) and len(s) == 2 and isinstance(s[0], int)):
-                return None
-            if got is None:
-                got = s
-            elif s != got:
-                return None
-        return None if got is None else got[0]
+
+class NoiseBoundViolation(ConfigError):
+    """Realized noise above the model's declared delta_w: the decoder's
+    guarantees, the attack-free error bound among them, do not hold."""
+
+    def __init__(self, what: str, delta_w: float, realized: float):
+        self.delta_w, self.realized = delta_w, realized
+        super().__init__(f"{what}: declared delta_w = {delta_w:.6g}, largest realized "
+                         f"per-slot window-noise norm = {realized:.6g}")
 
 
 class AuthViolation(RuntimeError):
@@ -236,7 +257,6 @@ class SimTrace:
     def window(self, t: int):
         """StackedWindow view of delivered measurements anchored at t (only
         anchors whose N steps fall inside the trace)."""
-        from .model import StackedWindow
         N = self.model.N
         if not 0 <= t <= self.horizon - N:
             raise ConfigError(f"window anchor {t} outside trace")
@@ -273,6 +293,18 @@ class SimTrace:
             fh.write(self.to_csv())
 
 
+def effective_window_noise(model: SystemModel, vP: np.ndarray, vM: np.ndarray,
+                           n_windows: int) -> np.ndarray:
+    """w_eff[s, k] = measurement noise at window slot k as the decoder sees it."""
+    N, p = model.N, model.p
+    out = np.zeros((n_windows, N, p))
+    for k in range(N):
+        out[:, k, :] = vM[k:k + n_windows]
+        for j in range(k):
+            out[:, k, :] += vP[j:j + n_windows] @ (model.C @ model.powers()[k - 1 - j]).T
+    return out
+
+
 def _forced_response_rows(model: SystemModel) -> list[list[np.ndarray]]:
     """pre[k][j] = C A^{k-1-j} B, the forced-response kernel inside one window."""
     out = []
@@ -289,7 +321,6 @@ def run_closed_loop(model: SystemModel,
                     policy: Optional[AuthPolicy] = None,
                     controller_gain: Optional[np.ndarray] = None,
                     reference: Optional[Callable[[int], tuple[np.ndarray, np.ndarray]]] = None,
-                    omega: Optional[NoiseFeasibleSet] = None,
                     x0: Optional[np.ndarray] = None,
                     strict_auth: bool = False) -> SimTrace:
     """Simulate `horizon` decoded steps of the closed loop.
@@ -304,6 +335,8 @@ def run_closed_loop(model: SystemModel,
     attack(t) returns the requested injection p-vector at step t (or None).
     With strict_auth the run aborts on an authentication violation; otherwise
     the violation is recorded in the trace and the injection entry zeroed.
+    Raises NoiseBoundViolation when the drawn noise leaves the model's
+    declared per-slot window-noise bound delta_w.
     """
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
@@ -317,12 +350,14 @@ def run_closed_loop(model: SystemModel,
         raise ConfigError(f"controller gain must be {m}x{n}")
 
     vP, vM = noise.draw(T_meas, n, p)
-    # hard per-draw bound check (the decoder's guarantees assume it)
-    dvp, dvm = noise.delta_vp(n), noise.delta_vm(p)
-    assert np.all(np.linalg.norm(vP, axis=1) <= dvp + 1e-12)
-    assert np.all(np.linalg.norm(vM, axis=1) <= dvm + 1e-12)
+    # the decoder's guarantees assume every window slot's noise inside delta_w
+    w_max = float(np.max(np.linalg.norm(effective_window_noise(model, vP, vM, horizon),
+                                        axis=2)))
+    if w_max > model.delta_w + 1e-12:
+        raise NoiseBoundViolation("window noise exceeds its bound (set delta_w to \"auto\" "
+                                  "or shrink the noise)", model.delta_w, w_max)
 
-    decoder = WindowDecoder(model, omega)
+    decoder = WindowDecoder(model)
     frk = _forced_response_rows(model)
     powN1 = model.powers()[N - 1]
 
@@ -378,19 +413,17 @@ def run_closed_loop(model: SystemModel,
             res = decoder.decode(yw)
             x_hat[s] = res.x_hat
             err[s] = res.error_against(x[s])
-            if attack is None:
-                assert err[s] <= err_bound + 1e-9, "attack-free error bound violated"
-            a1 = id1(res)
+            if attack is None and err[s] > err_bound + 1e-9:
+                raise NoiseBoundViolation(f"attack-free error {err[s]:.6g} at t={s} exceeds "
+                                          f"its bound {err_bound:.6g}", model.delta_w, w_max)
+            al1[s] = a1 = id1(res)
             if prev_xhat is None:
-                iv = 0.0
+                al2[s] = a1
             else:
                 # the input applied between the two window anchors is known
-                predicted = model.A @ prev_xhat + model.B @ u_hist[s - 1]
-                iv = float(np.linalg.norm(res.x_hat - predicted))
-            eps_iv = 1e-9 * (1.0 + float(np.linalg.norm(res.x_hat)))
-            al1[s] = a1
-            al2[s] = a1 or (prev_xhat is not None and iv > d_thr + eps_iv)
-            innov[s] = iv
+                innov[s], jump = innovation_check(model, res.x_hat, prev_xhat, d_thr,
+                                                  u_hist[s - 1])
+                al2[s] = a1 or jump
             supports.append(res.support)
             indeterminate += res.stats.indeterminate
             supports_tested += res.stats.supports_tested

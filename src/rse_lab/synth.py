@@ -42,14 +42,13 @@ from .model import (
     unstable_chain,
     unstable_eigenstructure,
 )
-from .sim import AuthPolicy, AuthViolation, NoiseSpec
+from .sim import AuthPolicy, AuthViolation, NoiseSpec, effective_window_noise
 
 __all__ = [
     "NotPerfectlyAttackable",
     "AttackPlan",
     "single_step_attack",
     "sustained_attack",
-    "single_injection_attack",
     "stealth_slack",
 ]
 
@@ -97,10 +96,6 @@ class AttackPlan:
         for k in range(self.entries.shape[0]):
             w.writerow([self.offset + k] + [f"{v:.12g}" for v in self.entries[k]])
         return buf.getvalue()
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())
 
     @classmethod
     def from_csv(cls, text: str, compromised: SensorSet,
@@ -163,37 +158,7 @@ def stealth_slack(window_noise_norms, delta_w: float, N: int) -> float:
     return slack
 
 
-def single_injection_attack(model: SystemModel, s: float) -> AttackPlan:
-    """Single-injection attack on the two-state single-sensor fixture system.
-
-    Emits a(0) = s and zero elsewhere; both windows containing the injection
-    decode with an empty support while the estimate shifts by [0, s] and then
-    [s, -.3 s].
-    """
-    ref_A = np.array([[0.3, 1.0], [0.0, 0.5]])
-    ref_C = np.array([[1.0, 0.0]])
-    if (model.p != 1 or model.n != 2 or model.N != 2 or model.delta_w != 0.0
-            or not np.allclose(model.A, ref_A) or not np.allclose(model.C, ref_C)):
-        raise NotPerfectlyAttackable(
-            "single-injection construction is specific to the two-state fixture")
-    entries = np.array([[0.0], [float(s)], [0.0]])
-    return AttackPlan(entries, -1, SensorSet.of([1], 1), "I", epsilon=abs(float(s)),
-                      notes="single injection at t=0")
-
-
 # -- sustained attacks --------------------------------------------------------
-
-def _effective_window_noise(model: SystemModel, vP: np.ndarray, vM: np.ndarray,
-                            n_windows: int) -> np.ndarray:
-    """w_eff[s, k] = measurement noise at window slot k as the decoder sees it."""
-    N, p = model.N, model.p
-    out = np.zeros((n_windows, N, p))
-    for k in range(N):
-        out[:, k, :] = vM[k:k + n_windows]
-        for j in range(k):
-            out[:, k, :] += vP[j:j + n_windows] @ (model.C @ model.powers()[k - 1 - j]).T
-    return out
-
 
 class _ChainBasis:
     """Real coordinates for propagation along an unstable witness.
@@ -307,12 +272,8 @@ def _reset_times(policy: Optional[AuthPolicy], compromised: SensorSet,
                  start: int, t_end: int) -> list[int]:
     if policy is None:
         return []
-    watched = [i for i in policy.sensors() if compromised.contains(i)]
-    if not watched:
-        return []
-    times = sorted({t for t in range(start, t_end)
-                    if any(policy.authenticated(i, t) for i in watched)})
-    return times
+    watched = [i for i in policy.sensors() if i in compromised.indices]
+    return [t for t in range(start, t_end) if any(policy.authenticated(i, t) for i in watched)]
 
 
 def sustained_attack(model: SystemModel, compromised: SensorSet, *,
@@ -324,8 +285,7 @@ def sustained_attack(model: SystemModel, compromised: SensorSet, *,
                      epsilon: Optional[float] = None,
                      safety: float = 0.5,
                      period: int = 1,
-                     alpha_gain: Optional[float] = None,
-                     omniscient: bool = True) -> AttackPlan:
+                     alpha_gain: Optional[float] = None) -> AttackPlan:
     """Build a stealthy over-time attack plan for `horizon` decoded steps.
 
     detector "I" with a rank-deficient F uses the cold-start construction
@@ -371,9 +331,6 @@ def sustained_attack(model: SystemModel, compromised: SensorSet, *,
         else pa_over_time_id1(model, compromised)
     if not verdict:
         raise NotPerfectlyAttackable(verdict.notes)
-    if not omniscient:
-        raise NotPerfectlyAttackable(
-            "noise-slack ramp needs realized-noise access (omniscient attacker)")
     if noise is None:
         raise ConfigError("ramped synthesis needs the scenario noise stream")
     return _ramped_plan(model, compromised, det, horizon, noise, policy, t0,
@@ -411,7 +368,9 @@ def _cold_start_plan(model: SystemModel, compromised: SensorSet, F: np.ndarray,
         a[~comp_mask] = 0.0
         if t < t0:
             # analytically zero (F z = 0 kills powers up to N-2); snap the dust
-            assert np.max(np.abs(a), initial=0.0) <= 1e-9 * max(1.0, eta)
+            if np.max(np.abs(a), initial=0.0) > 1e-9 * max(1.0, eta):
+                raise NotPerfectlyAttackable(
+                    f"cold-start attack is nonzero at t={t}, before its start t0={t0}")
             a[:] = 0.0
         entries[t] = a
         zeta_hist[t] = zeta
@@ -443,7 +402,7 @@ def _ramped_plan(model: SystemModel, compromised: SensorSet, det: str,
             "the propagated attack stays bounded")
 
     vP, vM = noise.draw(T_meas, n, p)
-    w_eff = _effective_window_noise(model, vP, vM, horizon)
+    w_eff = effective_window_noise(model, vP, vM, horizon)
     ledger = _SlackLedger(model, w_eff, safety)
     tail_dir = basis.V @ basis.tail()
 
@@ -510,7 +469,8 @@ def _ramped_plan(model: SystemModel, compromised: SensorSet, det: str,
         if t in reset_set:
             # the pattern was solved to land exactly on zero; snap the float dust
             if np.linalg.norm(zeta) > 1e-6:
-                raise AssertionError("sawtooth failed to reset the attacker state")
+                raise NotPerfectlyAttackable(
+                    f"sawtooth failed to reset the attacker state at enforcement time t={t}")
             zeta = np.zeros(n)
         a = model.C @ zeta
         leak = np.abs(a[~comp_mask])
@@ -525,7 +485,7 @@ def _ramped_plan(model: SystemModel, compromised: SensorSet, det: str,
     if policy is not None:
         for t in range(T_meas):
             for i in policy.auth_set(t):
-                if compromised.contains(i) and entries[t][i - 1] != 0.0:
+                if i in compromised.indices and entries[t][i - 1] != 0.0:
                     if abs(entries[t][i - 1]) > 1e-9:
                         raise AuthViolation(t, (i,))
                     entries[t][i - 1] = 0.0

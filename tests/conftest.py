@@ -62,6 +62,24 @@ def random_observable_model(rng, n=None, p=None, N=None, unstable=None,
     raise RuntimeError("could not draw an observable model")
 
 
+def single_injection_attack(model, s):
+    """Single-injection attack on the two-state single-sensor fixture system.
+
+    Emits a(0) = s and zero elsewhere; both windows containing the injection
+    decode with an empty support while the estimate shifts by [0, s] and then
+    [s, -.3 s].
+    """
+    ref_A = np.array([[0.3, 1.0], [0.0, 0.5]])
+    ref_C = np.array([[1.0, 0.0]])
+    if (model.p != 1 or model.n != 2 or model.N != 2 or model.delta_w != 0.0
+            or not np.allclose(model.A, ref_A) or not np.allclose(model.C, ref_C)):
+        raise r.NotPerfectlyAttackable(
+            "single-injection construction is specific to the two-state fixture")
+    entries = np.array([[0.0], [float(s)], [0.0]])
+    return r.AttackPlan(entries, -1, r.SensorSet.of([1], 1), "I", epsilon=abs(float(s)),
+                        notes="single injection at t=0")
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not ACCEPTANCE_RESULTS:
         return

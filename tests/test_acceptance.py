@@ -14,7 +14,7 @@ import rse_lab as r
 from rse_lab.decoder import WindowDecoder
 from rse_lab.model import rank_margin
 
-from conftest import random_observable_model, record_acceptance
+from conftest import random_observable_model, record_acceptance, single_injection_attack
 from oracles import exhaustive_min_support, min_direction_on_grid
 
 NO_ATTACK_BOUND = 0.0789
@@ -196,7 +196,7 @@ def test_criterion_5_fixture_reproductions(stable_two_state, stable_two_state_n3
     ok2 = v2.attackable and v2.branch == "rank_deficient_overlap" and not v3.attackable
     # fixture 3: single injection, both windows silent, exact error vectors
     s = 7.5
-    plan = r.single_injection_attack(stable_two_state, s)
+    plan = single_injection_attack(stable_two_state, s)
     x = {-1: np.array([0.3, -0.6])}
     for t in (-1, 0):
         x[t + 1] = stable_two_state.A @ x[t]

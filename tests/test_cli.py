@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -165,6 +167,32 @@ def test_policy_scenarios_bounded_factor(tmp_path, capsys):
         out = capsys.readouterr().out
         mx = float([l for l in out.splitlines() if "max ||err||" in l][0].split()[-1])
         assert mx <= factor * 0.0789, (name, mx)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_simulate_noise_above_delta_w_exit_1(tmp_path, flags):
+    # U(+-.05) noise on both channels puts the window slots far above 0.01
+    doc = {
+        "system": {"A": [[1, .01], [0, 1]], "B": [[.0001], [.01]],
+                   "C": [[1, 0], [0, 1], [0, 1]], "N": 2, "delta_w": 0.01},
+        "noise": {"kind": "uniform_elementwise", "lo": -0.05, "hi": 0.05, "seed": 0},
+        "compromised": [1, 2, 3],
+        "horizon": {"steps": 200},
+        "dt": 0.01,
+    }
+    cfg = tmp_path / "tight.json"
+    cfg.write_text(json.dumps(doc))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("RSE_LAB_SEED", None)
+    proc = subprocess.run([sys.executable, *flags, "-m", "rse_lab", "simulate",
+                           "--config", str(cfg)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "declared delta_w = 0.01," in proc.stderr
+    realized = float(proc.stderr.split("window-noise norm = ")[1])
+    assert 0.05 < realized <= 0.05 * (np.sqrt(3) + np.sqrt(2) * np.sqrt(2))
 
 
 def test_simulate_batch(tmp_path, capsys):

@@ -223,9 +223,10 @@ def test_decoder_stats_exposed():
 
 
 def test_support_cap_guard():
-    m = four_sensor_model()
+    m = r.SystemModel(A=np.eye(2), B=None, C=np.ones((21, 2)) + np.eye(21, 2),
+                      delta_w=0.0, N=2)
     with pytest.raises(r.ConfigError):
-        WindowDecoder(m, support_cap=3)
+        WindowDecoder(m)
 
 
 def test_innovation_bound_values(stable_two_state, vtf):

@@ -4,6 +4,8 @@ import pytest
 import rse_lab as r
 from rse_lab.decoder import WindowDecoder
 
+from conftest import single_injection_attack
+
 
 def run_and_check_stealth(model, plan, noise, policy=None, horizon=None):
     K = plan.compromised
@@ -64,17 +66,17 @@ def test_stealth_slack_matches_recomputation(vtf):
 
 
 def test_single_injection_plan(stable_two_state):
-    plan = r.single_injection_attack(stable_two_state, 1.0)
+    plan = single_injection_attack(stable_two_state, 1.0)
     assert plan.offset == -1
     assert np.allclose(plan.entries.ravel(), [0.0, 1.0, 0.0])
     assert np.allclose(plan.at(5), 0.0)
     with pytest.raises(r.NotPerfectlyAttackable):
-        r.single_injection_attack(r.vtf_model(), 1.0)
+        single_injection_attack(r.vtf_model(), 1.0)
 
 
 def test_single_injection_decodes(stable_two_state):
     s = 100.0
-    plan = r.single_injection_attack(stable_two_state, s)
+    plan = single_injection_attack(stable_two_state, s)
     dec = WindowDecoder(stable_two_state)
     x = {-1: np.array([0.2, -0.4])}
     for t in (-1, 0, 1):
@@ -144,12 +146,6 @@ def test_sustained_refuses_detector2_on_stable(stable_two_state):
                            horizon=100, noise=r.NoiseSpec.zero())
 
 
-def test_sustained_requires_omniscience_for_ramp(vtf):
-    with pytest.raises(r.NotPerfectlyAttackable):
-        r.sustained_attack(vtf, r.SensorSet.all(3), detector="II", horizon=100,
-                           noise=r.NoiseSpec.zero(), omniscient=False)
-
-
 def test_cold_start_construction(stable_two_state):
     K = r.SensorSet.all(1)
     plan = r.sustained_attack(stable_two_state, K, detector="I", horizon=300,
@@ -203,7 +199,7 @@ def test_plan_csv_roundtrip(vtf):
 
 
 def test_single_injection_zero_scalar_no_effect(stable_two_state):
-    plan = r.single_injection_attack(stable_two_state, 0.0)
+    plan = single_injection_attack(stable_two_state, 0.0)
     assert not plan.entries.any()
     tr = r.run_closed_loop(stable_two_state, 30, r.NoiseSpec.zero(),
                            compromised=r.SensorSet.all(1),
