@@ -6,6 +6,11 @@ whose complement admits a state plus a feasible noise explanation.  Noise
 feasibility is a convex feasibility problem between the affine residual set
 {y_clean - O_clean x} and the noise set Omega, decided by alternating
 projections; two Omega geometries are supported (per-step ball, stacked ball).
+
+decode handles one window.  decode_batch takes a whole stack of windows: all
+rows go through the empty support's least-squares fast path in one matrix
+product, and only the rows that do not land clearly inside Omega are handed to
+decode, so every row gets the support decode would give it.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ConfigError, SensorSet, SystemModel, singular_values
+from .model import ConfigError, SensorSet, SystemModel, matvec_rows, singular_values
 
 __all__ = [
     "NoiseFeasibleSet",
@@ -60,6 +65,15 @@ class NoiseFeasibleSet:
                     return False
             return True
         return np.linalg.norm(r) <= np.sqrt(N) * delta_w
+
+    def inside_rows(self, R: np.ndarray, delta_w: float, N: int, rtol: float) -> np.ndarray:
+        """Row-wise membership for the stacked residual rows R (W, pN), with
+        Omega shrunk by the relative margin rtol; strict, so a zero-radius
+        Omega holds no row."""
+        if self.mode == PER_STEP:
+            norms = np.linalg.norm(R.reshape(len(R), -1, N), axis=1).max(axis=1)
+            return norms < delta_w * (1.0 - rtol)
+        return np.linalg.norm(R, axis=1) < np.sqrt(N) * delta_w * (1.0 - rtol)
 
     def project(self, r: np.ndarray, delta_w: float, N: int) -> np.ndarray:
         """Euclidean projection of the sensor-major stacked residual r onto Omega."""
@@ -258,6 +272,29 @@ class WindowDecoder:
                 a_hat[rows_a] = y[rows_a] - (O @ x_hat)[rows_a]
             return DecodeResult(x_hat, a_hat, w_hat, support, True, stats)
         raise AssertionError("support = S is always feasible; unreachable")
+
+    def decode_batch(self, Y: np.ndarray) -> tuple[np.ndarray, dict[int, DecodeResult]]:
+        """Decode every row of Y, shape (W, p*N), each a sensor-major window.
+
+        Returns the (W, n) estimates and, by row index, the DecodeResult of
+        every row decoded one at a time.  Each other row was accepted on the
+        empty support after one support test and no projection iterations,
+        with decode's fast-path estimate G y.  A row is accepted here only
+        when its residual lies inside Omega by a relative 1e-9, far more than
+        the rounding of the norms, so every row gets the support decode gives it.
+        """
+        Y = np.asarray(Y, dtype=float)
+        if Y.ndim != 2 or Y.shape[1] != self.model.p * self.model.N:
+            raise ConfigError(f"windows must be rows of p*N={self.model.p * self.model.N} entries")
+        # with every sensor clean the context's rows are 0..pN-1 in order
+        ctx = self._context(SensorSet.all(self.model.p))
+        X = matvec_rows(ctx.G, Y)
+        R = Y - matvec_rows(ctx.O_c, X)
+        inside = self.omega.inside_rows(R, self.model.delta_w, self.model.N, 1e-9)
+        fallback = {int(w): self.decode(Y[w]) for w in np.flatnonzero(~inside)}
+        for w, res in fallback.items():
+            X[w] = res.x_hat
+        return X, fallback
 
 
 def feasibility_oracle(model: SystemModel, clean: SensorSet, y_window: np.ndarray,

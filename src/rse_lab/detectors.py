@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .decoder import DecodeResult, detector_threshold
-from .model import SystemModel
+from .model import SystemModel, matvec_rows
 
 __all__ = ["AlarmVerdict", "id1", "id2", "innovation_check"]
 
@@ -33,20 +33,22 @@ def id1(result: DecodeResult) -> bool:
 
 
 def innovation_check(model: SystemModel, x_hat: np.ndarray, x_prev: np.ndarray,
-                     d: float, known_input: Optional[np.ndarray]) -> tuple[float, bool]:
+                     d: float, known_input: Optional[np.ndarray]):
     """Innovation ||x_hat - (A x_prev + B u)|| between consecutive window
     estimates, and whether it exceeds the threshold d.
 
     known_input is the control input applied between the two window anchors
-    (a 1-d array of length m), or None in open loop.
+    (a 1-d array of length m), or None in open loop.  The arguments may also
+    be stacked rows, (W, n) estimates and (W, m) inputs; the innovations and
+    alarms then come back as arrays of length W.
     """
-    predicted = model.A @ x_prev
+    predicted = matvec_rows(model.A, x_prev)
     if known_input is not None:
-        predicted = predicted + model.B @ known_input
-    innov = float(np.linalg.norm(x_hat - predicted))
+        predicted = predicted + matvec_rows(model.B, known_input)
+    innov = np.linalg.norm(x_hat - predicted, axis=-1)
     # float-dust guard: with delta_w = 0 the exact threshold is 0 and machine
     # rounding of an exact recovery must not alarm
-    eps = 1e-9 * (1.0 + float(np.linalg.norm(x_hat)))
+    eps = 1e-9 * (1.0 + np.linalg.norm(x_hat, axis=-1))
     return innov, innov > d + eps
 
 
@@ -66,4 +68,4 @@ def id2(decode_t: DecodeResult, decode_prev: Optional[DecodeResult],
     if known_input is not None:
         known_input = np.atleast_1d(np.asarray(known_input, dtype=float))
     innov, jump = innovation_check(model, decode_t.x_hat, decode_prev.x_hat, d, known_input)
-    return AlarmVerdict(a1, a1 or jump, innov, d)
+    return AlarmVerdict(a1, a1 or jump, float(innov), d)

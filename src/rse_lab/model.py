@@ -109,6 +109,13 @@ def _as_matrix(M, rows=None, cols=None, name="matrix") -> np.ndarray:
     return M
 
 
+def matvec_rows(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ x for every row x of X (any leading shape).  Each row goes through
+    the same matrix-vector product as M @ x alone, so the result has the same
+    bits however many rows are stacked; X @ M.T need not."""
+    return (M @ X[..., None])[..., 0]
+
+
 def singular_values(M: np.ndarray) -> np.ndarray:
     M = np.atleast_2d(np.asarray(M))
     if M.size == 0:

@@ -11,9 +11,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .decoder import WindowDecoder, detector_threshold
+from .decoder import DecodeResult, DecodeStats, WindowDecoder, detector_threshold
 from .detectors import id1, innovation_check
-from .model import ConfigError, SensorSet, StackedWindow, SystemModel
+from .model import ConfigError, SensorSet, StackedWindow, SystemModel, matvec_rows
 
 __all__ = [
     "NoiseSpec",
@@ -151,6 +151,16 @@ class AuthPolicy:
     def auth_set(self, t: int) -> SensorSet:
         return SensorSet.of([i for i in self.schedules if self.authenticated(i, t)], self.p)
 
+    def mask(self, T: int) -> np.ndarray:
+        """(T, p) bool: entry [t, i-1] is set when sensor i is authenticated at t."""
+        out = np.zeros((T, self.p), dtype=bool)
+        for i, s in self.schedules.items():
+            if isinstance(s, Periodic):
+                out[s.phase::s.period, i - 1] = True
+            else:
+                out[[t for t in s if 0 <= t < T], i - 1] = True
+        return out
+
     def sensors(self) -> SensorSet:
         return SensorSet.of(self.schedules.keys(), self.p)
 
@@ -213,17 +223,28 @@ def apply_attack(y: np.ndarray, a: np.ndarray, compromised: SensorSet,
     is a synthesizer bug, not something to hide by silent clipping.
     """
     y = np.asarray(y, dtype=float).ravel()
-    a = np.asarray(a, dtype=float).ravel().copy()
-    nz = np.flatnonzero(a)
-    bad = [int(i) + 1 for i in nz if (int(i) + 1) not in compromised.indices]
-    if bad:
+    a = np.asarray(a, dtype=float).reshape(1, -1).copy()
+    auth = np.zeros(a.shape, dtype=bool)
+    auth[0, list(auth_now.indices0)] = True
+    violations = _enforce(a, compromised, auth)
+    return Delivered(y + a[0], a[0], violations[0][1] if violations else ())
+
+
+def _enforce(a: np.ndarray, compromised: SensorSet, auth: np.ndarray) -> list:
+    """Zero, in place, the nonzero entries of the stacked injections a (T, p)
+    on sensors authenticated at that step (auth, (T, p) bool), and return the
+    violations as (t, sensors) pairs.  A nonzero injection on a sensor
+    outside the compromised set raises ConfigError."""
+    outside = np.ones(a.shape[1], dtype=bool)
+    outside[list(compromised.indices0)] = False
+    rows = np.flatnonzero((a[:, outside] != 0.0).any(axis=1))
+    if rows.size:
+        bad = [int(i) + 1 for i in np.flatnonzero((a[rows[0]] != 0.0) & outside)]
         raise ConfigError(f"attack support {bad} outside compromised set {compromised}")
-    violated = []
-    for i in auth_now:
-        if a[i - 1] != 0.0:
-            violated.append(i)
-            a[i - 1] = 0.0
-    return Delivered(y + a, a, tuple(violated))
+    hit = auth & (a != 0.0)
+    a[hit] = 0.0
+    return [(int(t), tuple(int(i) + 1 for i in np.flatnonzero(hit[t])))
+            for t in np.flatnonzero(hit.any(axis=1))]
 
 
 @dataclass
@@ -313,6 +334,21 @@ def _forced_response_rows(model: SystemModel) -> list[list[np.ndarray]]:
     return out
 
 
+def _windows(y_del: np.ndarray, u: np.ndarray, frk: list) -> np.ndarray:
+    """Every sensor-major window of the delivered rows y_del (T, p), shape
+    (T - N + 1, p*N), with the known forced response of the inputs u (from
+    the same first step) subtracted per slot so the windows look autonomous."""
+    N = len(frk)
+    W = len(y_del) - N + 1
+    Y = np.stack([y_del[k:k + W] for k in range(N)], axis=2).reshape(W, -1)
+    for k in range(1, N):
+        eff = 0.0
+        for j in range(k):
+            eff = eff + matvec_rows(frk[k][j], u[j:j + W])
+        Y[:, k::N] -= eff
+    return Y
+
+
 def run_closed_loop(model: SystemModel,
                     horizon: int,
                     noise: NoiseSpec,
@@ -332,6 +368,12 @@ def run_closed_loop(model: SystemModel,
     (N-1 steps old) propagated forward with the known inputs; the warm-up
     steps before the first complete window apply feedforward only.
 
+    The run has three stages: generate (plant, attack, authentication),
+    decode, detect.  With a nonzero controller gain each window is decoded
+    inside the generate loop, because the next input needs its estimate;
+    otherwise the inputs cannot depend on the estimates, and every window is
+    decoded afterwards in one WindowDecoder.decode_batch call.
+
     attack(t) returns the requested injection p-vector at step t (or None).
     With strict_auth the run aborts on an authentication violation; otherwise
     the violation is recorded in the trace and the injection entry zeroed.
@@ -348,6 +390,7 @@ def run_closed_loop(model: SystemModel,
         np.asarray(controller_gain, dtype=float))
     if K_gain.shape != (m, n):
         raise ConfigError(f"controller gain must be {m}x{n}")
+    feedback = bool(K_gain.any())
 
     vP, vM = noise.draw(T_meas, n, p)
     # the decoder's guarantees assume every window slot's noise inside delta_w
@@ -361,95 +404,83 @@ def run_closed_loop(model: SystemModel,
     frk = _forced_response_rows(model)
     powN1 = model.powers()[N - 1]
 
+    # attack and authentication: plans and schedules are fixed in advance, so
+    # they are enforced over every step at once
+    auth = pol.mask(T_meas)
+    a_applied = np.zeros((T_meas, p)) if attack is None else np.array(
+        [np.asarray(attack(t), dtype=float).ravel() for t in range(T_meas)])
+    violations = _enforce(a_applied, comp, auth)
+    if violations and strict_auth:
+        raise AuthViolation(*violations[0])
+
     x = np.zeros((T_meas + 1, n))
     if x0 is not None:
         x[0] = np.asarray(x0, dtype=float).ravel()
-    y = np.zeros((T_meas, p))
-    y_del = np.zeros((T_meas, p))
-    a_applied = np.zeros((T_meas, p))
     u_hist = np.zeros((T_meas, m))
-    auth_mask = np.zeros(T_meas, dtype=int)
-    violations = []
-
+    x_ref = np.zeros((T_meas, n))
+    if reference is not None:
+        # feedforward; with feedback, corrected from the first complete window on
+        for t in range(T_meas):
+            x_ref[t], u_hist[t] = reference(t)
+    drive = matvec_rows(model.B, u_hist)
     x_hat = np.zeros((horizon, n))
-    err = np.zeros(horizon)
+
+    # ID_I and the decoder counters of the windows decoded one at a time; every
+    # other window was accepted on the empty support after one support test
+    supports = [SensorSet.empty(p)] * horizon
     al1 = np.zeros(horizon, dtype=bool)
-    al2 = np.zeros(horizon, dtype=bool)
-    innov = np.zeros(horizon)
-    supports = []
-    indeterminate = 0
-    supports_tested = 0
-    oracle_iterations = 0
-    d_thr = detector_threshold(model)
-    # attack-free decodes obey ||err|| <= gain * 2 sqrt(N) delta_w = d / (1 + ||A||)
-    err_bound = d_thr / (1.0 + float(np.linalg.norm(model.A, 2)))
-    prev_xhat = None
+    totals = DecodeStats(supports_tested=horizon)
 
+    def tally(s: int, res: DecodeResult) -> None:
+        supports[s], al1[s] = res.support, id1(res)
+        totals.supports_tested += res.stats.supports_tested - 1
+        totals.oracle_iterations += res.stats.oracle_iterations
+        totals.indeterminate += res.stats.indeterminate
+
+    # plant (and, with feedback, decode and control) step by step
+    xt = x[0]
     for t in range(T_meas):
-        # measurement, attack, delivery
-        y[t] = model.C @ x[t] + vM[t]
-        a_req = np.zeros(p) if attack is None else np.asarray(attack(t), dtype=float)
-        auth_now = pol.auth_set(t)
-        delivered = apply_attack(y[t], a_req, comp, auth_now)
-        if delivered.violated:
-            if strict_auth:
-                raise AuthViolation(t, delivered.violated)
-            violations.append((t, delivered.violated))
-        y_del[t] = delivered.y_delivered
-        a_applied[t] = delivered.applied_attack
-        for i in auth_now:
-            auth_mask[t] |= 1 << (i - 1)
-
-        # decode the newest complete window (anchor s = t - N + 1)
-        s = t - N + 1
-        if s >= 0:
-            yw = y_del[s:t + 1].T.ravel().copy()
-            # subtract the known forced response so the window looks autonomous
-            for k in range(1, N):
-                eff = np.zeros(p)
-                for j in range(k):
-                    eff += frk[k][j] @ u_hist[s + j]
-                yw[k::N] -= eff
-            res = decoder.decode(yw)
+        s = t - N + 1  # anchor of the newest complete window
+        if feedback and s >= 0:
+            y_win = matvec_rows(model.C, x[s:t + 1]) + vM[s:t + 1] + a_applied[s:t + 1]
+            res = decoder.decode(_windows(y_win, u_hist[s:t + 1], frk)[0])
+            tally(s, res)
             x_hat[s] = res.x_hat
-            err[s] = res.error_against(x[s])
-            if attack is None and err[s] > err_bound + 1e-9:
-                raise NoiseBoundViolation(f"attack-free error {err[s]:.6g} at t={s} exceeds "
-                                          f"its bound {err_bound:.6g}", model.delta_w, w_max)
-            al1[s] = a1 = id1(res)
-            if prev_xhat is None:
-                al2[s] = a1
-            else:
-                # the input applied between the two window anchors is known
-                innov[s], jump = innovation_check(model, res.x_hat, prev_xhat, d_thr,
-                                                  u_hist[s - 1])
-                al2[s] = a1 or jump
-            supports.append(res.support)
-            indeterminate += res.stats.indeterminate
-            supports_tested += res.stats.supports_tested
-            oracle_iterations += res.stats.oracle_iterations
-            prev_xhat = res.x_hat
-
-        # control from the freshest estimate, propagated to now
-        if s >= 0 and (K_gain.any() or reference is not None):
             # x(t) = A^{N-1} x(s) + sum_{j<N-1} A^{N-2-j} B u(s+j) (+ noise)
             x_now = powN1 @ x_hat[s]
             for j in range(N - 1):
                 x_now += model.powers()[N - 2 - j] @ model.B @ u_hist[s + j]
-            if reference is not None:
-                x_ref, u_ff = reference(t)
-                u = u_ff - K_gain @ (x_now - x_ref)
-            else:
-                u = -K_gain @ x_now
-        elif reference is not None:
-            u = reference(t)[1]
-        else:
-            u = np.zeros(m)
-        u_hist[t] = u
-        x[t + 1] = model.A @ x[t] + model.B @ u + vP[t]
+            u_hist[t] = u_hist[t] - K_gain @ (x_now - x_ref[t])
+            drive[t] = model.B @ u_hist[t]
+        xt = x[t + 1] = model.A @ xt + drive[t] + vP[t]
+    y = matvec_rows(model.C, x[:T_meas]) + vM
+    y_del = y + a_applied
+
+    # decode: without feedback, every window at once
+    if not feedback:
+        x_hat, fallback = decoder.decode_batch(_windows(y_del, u_hist, frk))
+        for s, res in fallback.items():
+            tally(s, res)
+
+    # detect: ID_II from consecutive estimates and the known input applied
+    # between their anchors, and the attack-free error bound
+    d_thr = detector_threshold(model)
+    innov = np.zeros(horizon)
+    jump = np.zeros(horizon, dtype=bool)
+    innov[1:], jump[1:] = innovation_check(model, x_hat[1:], x_hat[:-1], d_thr,
+                                           u_hist[:horizon - 1])
+    err = np.linalg.norm(x_hat - x[:horizon], axis=1)
+    # attack-free decodes obey ||err|| <= gain * 2 sqrt(N) delta_w = d / (1 + ||A||)
+    err_bound = d_thr / (1.0 + float(np.linalg.norm(model.A, 2)))
+    over = np.flatnonzero(err > err_bound + 1e-9)
+    if attack is None and over.size:
+        s = int(over[0])
+        raise NoiseBoundViolation(f"attack-free error {err[s]:.6g} at t={s} exceeds "
+                                  f"its bound {err_bound:.6g}", model.delta_w, w_max)
 
     return SimTrace(model, np.arange(horizon), x[:horizon].copy(), y[:horizon].copy(),
                     y_del[:horizon].copy(), a_applied[:horizon].copy(),
-                    u_hist[:horizon].copy(), x_hat, err, al1, al2, innov,
-                    auth_mask[:horizon].copy(), violations, supports,
-                    indeterminate, d_thr, supports_tested, oracle_iterations)
+                    u_hist[:horizon].copy(), x_hat, err, al1, al1 | jump, innov,
+                    auth[:horizon] @ (1 << np.arange(p)), violations, supports,
+                    totals.indeterminate, d_thr, totals.supports_tested,
+                    totals.oracle_iterations)

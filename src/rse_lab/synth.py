@@ -272,8 +272,8 @@ def _reset_times(policy: Optional[AuthPolicy], compromised: SensorSet,
                  start: int, t_end: int) -> list[int]:
     if policy is None:
         return []
-    watched = [i for i in policy.sensors() if i in compromised.indices]
-    return [t for t in range(start, t_end) if any(policy.authenticated(i, t) for i in watched)]
+    watched = [i - 1 for i in policy.sensors() if i in compromised.indices]
+    return (np.flatnonzero(policy.mask(t_end)[start:, watched].any(axis=1)) + start).tolist()
 
 
 def sustained_attack(model: SystemModel, compromised: SensorSet, *,
@@ -481,9 +481,10 @@ def _ramped_plan(model: SystemModel, compromised: SensorSet, det: str,
         zeta_hist[t] = zeta
         zeta = model.A @ zeta
     # authentication consistency: never request a nonzero value at an
-    # enforcement time of a compromised sensor
+    # enforcement time of a compromised sensor; from t0 on those are the
+    # resets, and before t0 every entry is zero
     if policy is not None:
-        for t in range(T_meas):
+        for t in resets:
             for i in policy.auth_set(t):
                 if i in compromised.indices and entries[t][i - 1] != 0.0:
                     if abs(entries[t][i - 1]) > 1e-9:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rse_lab as r
-from rse_lab.decoder import PER_STEP, STACKED, NoiseFeasibleSet, WindowDecoder
+from rse_lab.decoder import PER_STEP, STACKED, DecodeStats, NoiseFeasibleSet, WindowDecoder
 
 from conftest import random_observable_model
 from oracles import grid_feasibility
@@ -266,3 +266,54 @@ def test_window_length_one():
     assert res.support == r.SensorSet.empty(2)
     assert abs(res.x_hat[0] - 0.305) < 0.05
     assert np.allclose(r.build_overlap_stack(m, r.SensorSet.of([1], 2)), [[1.0]])
+
+
+@pytest.mark.parametrize("mode", [PER_STEP, STACKED])
+def test_decode_batch_matches_decode(mode):
+    rng = np.random.default_rng(31)
+    omega = NoiseFeasibleSet(mode=mode)
+
+    def size(res_rows):  # the quantity Omega bounds
+        if mode == PER_STEP:
+            return max(np.linalg.norm(res_rows[k::N]) for k in range(N))
+        return np.linalg.norm(res_rows)
+
+    for k in range(4):
+        m = random_observable_model(rng, p=4, weighted=bool(k % 2))
+        dec = WindowDecoder(m, omega)
+        O, N, dw, p = m.O_full(), m.N, m.delta_w, m.p
+        radius = dw if mode == PER_STEP else np.sqrt(N) * dw
+        rows, margins = [], []
+        for _ in range(24):
+            w = rng.normal(size=p * N)
+            y = O @ rng.normal(size=m.n) + w * (rng.uniform(0, 1) * dw / size(w))
+            planted = rng.choice(p, size=int(rng.integers(0, p // 2)), replace=False)
+            for i in planted:
+                y[i * N:(i + 1) * N] += rng.choice([-1, 1], size=N) * rng.uniform(20, 100) * dw
+            rows.append(y)
+            margins.append(None)
+        # noise whose fast-path residual sits just inside or just outside Omega;
+        # the residual is linear in the noise, so read it off a small draw
+        for rel in (-1e-6, -1e-10, 1e-10, 1e-6):
+            w = rng.normal(size=p * N)
+            w *= 1e-3 * dw / np.linalg.norm(w)
+            r0 = dec.feasibility(r.SensorSet.all(p), w).w_hat
+            rows.append(O @ rng.normal(size=m.n) + w * (radius * (1 + rel) / size(r0)))
+            margins.append(rel)
+        Y = np.array(rows)
+        X, fallback = dec.decode_batch(Y)
+        assert X.shape == (len(rows), m.n)
+        assert 0 < len(fallback) < len(rows)
+        for i, y in enumerate(Y):
+            res = dec.decode(y)
+            if i in fallback:
+                assert fallback[i].support == res.support
+                assert fallback[i].stats == res.stats
+                np.testing.assert_array_equal(fallback[i].x_hat, res.x_hat)
+            else:
+                assert len(res.support) == 0
+                assert res.stats == DecodeStats(1, 0, 0)
+            np.testing.assert_allclose(X[i], res.x_hat, rtol=1e-12, atol=1e-12)
+            if margins[i] is not None:
+                # only rows inside by more than the 1e-9 margin skip decode
+                assert (i in fallback) == (margins[i] > -1e-9)

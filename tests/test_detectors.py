@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 import rse_lab as r
 from rse_lab.decoder import DecodeResult, DecodeStats
@@ -58,3 +59,31 @@ def test_id2_known_input_compensation(vtf):
     assert raw.id2_alarm  # without the input the jump looks like an attack
     comp = r.id2(fake_result(vtf, moved), prev, vtf, known_input=u)
     assert not comp.id2_alarm
+
+
+def test_innovation_check_stacked_rows_match_single_rows(vtf):
+    rng = np.random.default_rng(8)
+    d = r.detector_threshold(vtf)
+    X, P = rng.normal(size=(60, 2)), rng.normal(size=(60, 2))
+    U = 100 * rng.normal(size=(60, 1))
+    for known in (None, U):
+        innov, alarm = r.innovation_check(vtf, X, P, d, known)
+        assert innov.shape == alarm.shape == (60,)
+        assert alarm.any() and not alarm.all()
+        for k in range(60):
+            one = r.innovation_check(vtf, X[k], P[k], d, None if known is None else known[k])
+            assert (innov[k], alarm[k]) == one
+
+
+def test_id2_output_unchanged(vtf):
+    rng = np.random.default_rng(9)
+    d = r.detector_threshold(vtf)
+    for _ in range(40):
+        x_prev, x_hat, u = rng.normal(size=2), rng.normal(size=2), 100 * rng.normal(size=1)
+        v = r.id2(fake_result(vtf, x_hat), fake_result(vtf, x_prev), vtf, known_input=u)
+        # the single-row formula id2 has always used
+        innov = float(np.linalg.norm(x_hat - (vtf.A @ x_prev + vtf.B @ u)))
+        jump = innov > d + 1e-9 * (1.0 + float(np.linalg.norm(x_hat)))
+        assert type(v.id2_innovation) is float
+        assert v.id2_innovation == pytest.approx(innov, rel=1e-14)
+        assert (v.id1_alarm, v.id2_alarm, v.threshold_d) == (False, jump, d)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rse_lab as r
+from rse_lab.decoder import WindowDecoder
 
 
 def test_step_examples(stable_two_state, vtf):
@@ -176,3 +177,74 @@ def test_attack_under_control_stays_stealthy(vtf):
                            reference=ref, x0=np.array([10.0, 0.0]))
     assert tr.alarm_counts() == (0, 0)
     assert tr.max_error() < 1.0
+
+
+def _all_windows(tr, noise, attack):
+    """Every window of a zero-input, policy-free run, as a list of stacked
+    vectors: the trace's own windows, then the last N - 1 windows, which
+    reach past the stored horizon and are rebuilt from the noise streams with
+    a plain per-step plant loop."""
+    m, H = tr.model, tr.horizon
+    T = H + m.N - 1
+    vP, vM = noise.draw(T, m.n, m.p)
+    x = list(tr.x)
+    while len(x) < T:
+        x.append(m.A @ x[-1] + m.B @ np.zeros(m.m) + vP[len(x) - 1])
+    y_del = np.array([m.C @ x[t] + vM[t] + (0.0 if attack is None else attack(t))
+                      for t in range(T)])
+    assert np.array_equal(y_del[:H], tr.y_delivered)  # same bits as the plant loop
+    windows = [tr.window(s).y_stacked for s in range(H - m.N + 1)]
+    return windows + [y_del[s:s + m.N].T.ravel() for s in range(H - m.N + 1, H)]
+
+
+def _assert_matches_per_window(tr, noise, attack=None):
+    """The batched run agrees with decoding every window one at a time."""
+    dec = WindowDecoder(tr.model)
+    results = [dec.decode(w) for w in _all_windows(tr, noise, attack)]
+    prev = None
+    for s, res in enumerate(results):
+        np.testing.assert_allclose(tr.x_hat[s], res.x_hat, rtol=1e-12, atol=1e-12)
+        assert tr.supports[s] == res.support
+        v = r.id2(res, prev, tr.model)
+        assert (tr.alarm_id1[s], tr.alarm_id2[s]) == (v.id1_alarm, v.id2_alarm)
+        assert (tr.innovation[s] > tr.threshold_d) == (v.id2_innovation > v.threshold_d)
+        prev = res
+    assert tr.supports_tested == sum(res.stats.supports_tested for res in results)
+    assert tr.oracle_iterations == sum(res.stats.oracle_iterations for res in results)
+    assert tr.indeterminate == sum(res.stats.indeterminate for res in results)
+
+
+def test_batched_run_matches_per_window_decoding(vtf, stable_two_state):
+    K = r.SensorSet.all(3)
+    noise = r.NoiseSpec(kind="uniform_elementwise", lo=-.05, hi=.05, seed=20)
+    _assert_matches_per_window(r.run_closed_loop(vtf, 2000, noise, compromised=K), noise)
+
+    # C2: the stealthy sustained attack keeps every window on the empty support
+    noise = r.NoiseSpec(kind="uniform_elementwise", lo=-.05, hi=.05, seed=23)
+    plan = r.sustained_attack(vtf, K, detector="II", horizon=6000, noise=noise)
+    tr = r.run_closed_loop(vtf, 6000, noise, compromised=K, attack=plan.as_callable())
+    _assert_matches_per_window(tr, noise, plan.as_callable())
+    assert tr.max_error() > 100 * 0.0789
+
+    # a large constant injection on sensor 3: fallback windows decode {3}
+    noise = r.NoiseSpec(kind="uniform_elementwise", lo=-.05, hi=.05, seed=4)
+    attack = lambda t: np.array([0.0, 0.0, 50.0])
+    tr = r.run_closed_loop(vtf, 300, noise, compromised=K, attack=attack)
+    _assert_matches_per_window(tr, noise, attack)
+    assert all(s.indices == (3,) for s in tr.supports)
+    assert tr.alarm_counts() == (300, 300)
+
+    # delta_w = 0 leaves no margin inside Omega: every window falls back
+    tr = r.run_closed_loop(stable_two_state, 50, r.NoiseSpec.zero(), x0=np.array([1.0, -2.0]))
+    _assert_matches_per_window(tr, r.NoiseSpec.zero())
+    _, fallback = WindowDecoder(stable_two_state).decode_batch(
+        np.stack([tr.window(s).y_stacked for s in range(tr.horizon - 1)]))
+    assert sorted(fallback) == list(range(tr.horizon - 1))
+
+
+def test_policy_mask_matches_schedule():
+    pol = r.AuthPolicy({1: r.Periodic(4, 3), 3: frozenset({0, 5, 9, 40})}, 3)
+    mask = pol.mask(20)
+    assert mask.shape == (20, 3)
+    for t in range(20):
+        assert [i for i in (1, 2, 3) if mask[t, i - 1]] == list(pol.auth_set(t).indices)
