@@ -46,6 +46,7 @@ from .sim import (
     NoiseBoundViolation,
     NoiseSpec,
     Periodic,
+    PrecisionLoss,
     SimTrace,
     apply_attack,
     run_closed_loop,

@@ -1,8 +1,9 @@
 """Command-line harness: analyze, simulate, attack, decode, reproduce.
 
 Exit codes: 0 success / not attackable, 1 invalid configuration or input,
-2 attackable (analyze), 3 borderline rank margins (analyze), 5 decoder
-indeterminate rate above 1% (simulate).
+2 attackable (analyze), 3 borderline rank margins (analyze), 5 indeterminate
+feasibility verdicts, where the decoder's dual-weighted least-squares loop
+reached its round cap, number more than 1% of the windows (simulate).
 """
 
 from __future__ import annotations

@@ -90,13 +90,11 @@ def make_reference(model: SystemModel, spec: Optional[dict], dt: float):
         th = rate * t * dt + phase
         return np.array([radius * np.cos(th), -radius * rate * np.sin(th)])
 
-    B = model.B
+    B_pinv = np.linalg.pinv(model.B)
 
     def ref(t: int):
         xr = x_ref(t)
-        xr1 = x_ref(t + 1)
-        u_ff, *_ = np.linalg.lstsq(B, xr1 - model.A @ xr, rcond=None)
-        return xr, u_ff
+        return xr, B_pinv @ (x_ref(t + 1) - model.A @ xr)
 
     return ref
 

@@ -2,10 +2,10 @@
 
 The decoder searches candidate attacked-sensor supports by increasing
 cardinality (lexicographic within a cardinality) and accepts the first support
-whose complement admits a state plus a feasible noise explanation.  Noise
-feasibility is a convex feasibility problem between the affine residual set
-{y_clean - O_clean x} and the noise set Omega, decided by alternating
-projections; two Omega geometries are supported (per-step ball, stacked ball).
+whose complement admits a state plus a feasible noise explanation.  Omega is
+a product of balls: the N window slots of radius delta_w (per-step ball), or
+one of radius sqrt(N) delta_w (stacked ball).  Feasibility is decided by
+dual-weighted least squares; each verdict carries a witness or a certificate.
 
 decode handles one window.  decode_batch takes a whole stack of windows: all
 rows go through the empty support's least-squares fast path in one matrix
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
 PER_STEP = "per_step_ball"
 STACKED = "stacked_ball"
 SUPPORT_CAP = 20  # support enumeration is O(2^p); larger sensor counts are refused
+MAX_ROUNDS = 500  # feasibility rounds before a verdict is called indeterminate
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,8 @@ class NoiseFeasibleSet:
     <= sqrt(N) * delta_w.
     """
 
+    eps_feas: ClassVar[float] = 1e-8  # decision tolerance on the min-max residual norm
     mode: str = PER_STEP
-    eps_feas: float = 1e-8
-    max_iter: int = 20000
 
     def __post_init__(self):
         if self.mode not in (PER_STEP, STACKED):
@@ -75,22 +75,6 @@ class NoiseFeasibleSet:
             return norms < delta_w * (1.0 - rtol)
         return np.linalg.norm(R, axis=1) < np.sqrt(N) * delta_w * (1.0 - rtol)
 
-    def project(self, r: np.ndarray, delta_w: float, N: int) -> np.ndarray:
-        """Euclidean projection of the sensor-major stacked residual r onto Omega."""
-        w = r.copy()
-        if self.mode == PER_STEP:
-            for k in range(N):
-                blk = w[k::N]
-                nb = np.linalg.norm(blk)
-                if nb > delta_w:
-                    w[k::N] = blk * (delta_w / nb) if nb > 0 else 0.0
-            return w
-        radius = np.sqrt(N) * delta_w
-        nb = np.linalg.norm(w)
-        if nb > radius:
-            w *= radius / nb if nb > 0 else 0.0
-        return w
-
 
 @dataclass
 class DecodeStats:
@@ -101,11 +85,19 @@ class DecodeStats:
 
 @dataclass(frozen=True)
 class FeasibilityResult:
+    """Verdict on one clean set.  feasible: y_c = O_c x_hat + w_hat with w_hat
+    in Omega, or, when gap > 0, a tie with w_hat gap <= eps_feas outside it.
+    infeasible: weights (one per ball, summing to 1) with weighted least-squares
+    value g > (radius + eps_feas)^2, and gap = sqrt(g) - radius; after a quick
+    reject (iterations == 0) weights are None, uniform weights certify, and gap
+    = ||r_ls|| - sqrt(N) delta_w.  indeterminate: no verdict in MAX_ROUNDS rounds."""
+
     status: str  # "feasible" | "infeasible" | "indeterminate"
     x_hat: Optional[np.ndarray] = None
     w_hat: Optional[np.ndarray] = None  # restricted to the clean rows
     gap: float = 0.0
     iterations: int = 0
+    weights: Optional[np.ndarray] = None
 
     @property
     def feasible(self) -> bool:
@@ -133,14 +125,11 @@ class DecodeResult:
 class _SupportContext:
     """Cached linear operators for one candidate clean set."""
 
-    __slots__ = ("rows", "O_c", "G", "n_clean", "N", "pinv")
+    __slots__ = ("rows", "O_c", "G", "pinv")
 
     def __init__(self, model: SystemModel, clean: SensorSet):
-        self.N = model.N
         self.rows = clean.block_rows(model.N)
-        O = model.O_full()
-        self.O_c = O[self.rows] if len(self.rows) else np.empty((0, model.n))
-        self.n_clean = len(clean)
+        self.O_c = model.O_full()[self.rows]
         if self.O_c.shape[0] == 0:
             self.G = np.zeros((model.n, 0))
             self.pinv = self.G
@@ -208,35 +197,35 @@ class WindowDecoder:
         if rho > max_norm + max(10 * omega.eps_feas, 1e-12):
             return FeasibilityResult("infeasible", None, None, rho - max_norm, 0)
 
-        # alternating projections between the affine residual set and Omega
-        x_hat = ctx.pinv @ y_c
-        r = y_c - ctx.O_c @ x_hat
-        gap_prev = np.inf
-        it = 0
-        for it in range(1, omega.max_iter + 1):
-            w = omega.project(r, dw, N)
-            gap = float(np.linalg.norm(r - w))
-            if gap < omega.eps_feas:
-                if stats is not None:
-                    stats.oracle_iterations += it
-                return FeasibilityResult("feasible", x_hat, w, gap, it)
-            if gap_prev - gap < 1e-14 * gap:
-                break  # stalled at the (positive) inter-set distance
-            gap_prev = gap
-            x_hat = ctx.pinv @ (y_c - w)
+        # dual-weighted least squares (Lawson): for group weights lam in the
+        # simplex, g = min_x sum_k lam_k f_k(x) <= (min_x max_k ||r_k(x)||)^2,
+        # so g above the squared radius certifies infeasibility
+        groups, radius = (N, dw) if omega.mode == PER_STEP else (1, max_norm)
+        lam = np.full(groups, 1.0 / groups)
+        x_hat, r = ctx.pinv @ y_c, r_ls
+        status, gap, eps = "indeterminate", 0.0, omega.eps_feas
+        for it in range(1, MAX_ROUNDS + 1):
+            f = (r.reshape(-1, groups) ** 2).sum(axis=0)
+            g, top = float(lam @ f), np.sqrt(f.max())
+            if omega.contains(r, dw, N):
+                status = "feasible"
+            elif g > (radius + eps) ** 2:
+                status, gap = "infeasible", np.sqrt(g) - radius
+            elif top <= radius + eps and top - np.sqrt(g) <= eps:
+                # tie: the min-max norm lies in [sqrt(g), top], within eps of radius
+                status, gap = "feasible", top - radius
+            if status != "indeterminate" or it == MAX_ROUNDS:
+                break
+            lam = 0.5 * (lam + lam * f / g)  # averaged: plain lam f / g can oscillate
+            sw = np.tile(np.sqrt(lam), len(r) // groups)
+            x_hat = np.linalg.lstsq(ctx.O_c * sw[:, None], y_c * sw, rcond=None)[0]
             r = y_c - ctx.O_c @ x_hat
         if stats is not None:
             stats.oracle_iterations += it
-        w = omega.project(r, dw, N)
-        gap = float(np.linalg.norm(r - w))
-        if gap < omega.eps_feas:
-            return FeasibilityResult("feasible", x_hat, w, gap, it)
-        if gap < 10 * omega.eps_feas:
-            # too close to the boundary to call either way
-            if stats is not None:
-                stats.indeterminate += 1
-            return FeasibilityResult("indeterminate", None, None, gap, it)
-        return FeasibilityResult("infeasible", None, None, gap, it)
+            stats.indeterminate += status == "indeterminate"
+        if status != "feasible":
+            x_hat = r = None
+        return FeasibilityResult(status, x_hat, r, gap, it, lam if status == "infeasible" else None)
 
     # -- l0 decode ---------------------------------------------------------------
     def _supports(self):

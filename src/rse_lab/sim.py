@@ -18,6 +18,7 @@ from .model import ConfigError, SensorSet, StackedWindow, SystemModel, matvec_ro
 __all__ = [
     "NoiseSpec",
     "NoiseBoundViolation",
+    "PrecisionLoss",
     "Periodic",
     "AuthPolicy",
     "AuthViolation",
@@ -184,6 +185,10 @@ class NoiseBoundViolation(ConfigError):
         self.delta_w, self.realized = delta_w, realized
         super().__init__(f"{what}: declared delta_w = {delta_w:.6g}, largest realized "
                          f"per-slot window-noise norm = {realized:.6g}")
+
+
+class PrecisionLoss(ConfigError):
+    """Float rounding of the outputs swamps delta_w, so the decodes lose their meaning."""
 
 
 class AuthViolation(RuntimeError):
@@ -378,7 +383,8 @@ def run_closed_loop(model: SystemModel,
     With strict_auth the run aborts on an authentication violation; otherwise
     the violation is recorded in the trace and the injection entry zeroed.
     Raises NoiseBoundViolation when the drawn noise leaves the model's
-    declared per-slot window-noise bound delta_w.
+    declared per-slot window-noise bound delta_w, or when an attack-free run breaks
+    its error bound; PrecisionLoss instead when there eps * max ||y_t|| >= delta_w / 100.
     """
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
@@ -475,8 +481,13 @@ def run_closed_loop(model: SystemModel,
     over = np.flatnonzero(err > err_bound + 1e-9)
     if attack is None and over.size:
         s = int(over[0])
-        raise NoiseBoundViolation(f"attack-free error {err[s]:.6g} at t={s} exceeds "
-                                  f"its bound {err_bound:.6g}", model.delta_w, w_max)
+        what = f"attack-free error {err[s]:.6g} at t={s} exceeds its bound {err_bound:.6g}"
+        rounding = np.finfo(float).eps * np.linalg.norm(y[s:s + N], axis=1).max()
+        if rounding >= model.delta_w / 100:
+            x_max = np.linalg.norm(x[s:s + N], axis=1).max()
+            raise PrecisionLoss(f"{what}: states reach norm {x_max:.3g}, and output "
+                                f"rounding {rounding:.3g} swamps delta_w = {model.delta_w:.6g}")
+        raise NoiseBoundViolation(what, model.delta_w, w_max)
 
     return SimTrace(model, np.arange(horizon), x[:horizon].copy(), y[:horizon].copy(),
                     y_del[:horizon].copy(), a_applied[:horizon].copy(),

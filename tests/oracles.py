@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's feasibility machinery: feasibility is
 decided by evaluating the constraint violation on an explicit grid of states,
-and observability loss by scanning unit directions on a sphere grid.
+infeasibility certificates by an independent weighted least-squares solve, and
+observability loss by scanning unit directions on a sphere grid.
 """
 
 import itertools
@@ -59,6 +60,21 @@ def grid_feasibility(O_c, y_c, delta_w, N, mode="per_step", box=GRID_BOX):
             return fine_best, fine_best - fb
     # unrefined coarse neighborhoods all sit above cb; refined region above fine_best - fb
     return float(fine_best), float(min(fine_best - fb, cb))
+
+
+def weighted_ls_value(O_c, y_c, weights, N, mode="per_step"):
+    """min_x sum_k weights_k ||r_k(x)||^2 for r = y_c - O_c x, by lstsq on rows
+    scaled by sqrt(weights).  The groups k are the N window slots of the
+    sensor-major rows (row j lies in slot j mod N), or all rows for the
+    stacked ball.  For weights in the simplex this value is a lower bound on
+    (min_x max_k ||r_k(x)||)^2, so above radius^2 it certifies infeasibility.
+    """
+    weights = np.asarray(weights, dtype=float)
+    assert np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12
+    slot = np.arange(O_c.shape[0]) % N if mode == "per_step" else np.zeros(O_c.shape[0], int)
+    scale = np.sqrt(weights[slot])
+    x = np.linalg.lstsq(O_c * scale[:, None], y_c * scale, rcond=None)[0]
+    return float(np.sum(weights[slot] * (y_c - O_c @ x) ** 2))
 
 
 def exhaustive_min_support(model, y, delta_w, mode="per_step"):

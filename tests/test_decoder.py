@@ -1,13 +1,15 @@
+import collections
 import itertools
 
 import numpy as np
 import pytest
 
 import rse_lab as r
+from rse_lab import decoder
 from rse_lab.decoder import PER_STEP, STACKED, DecodeStats, NoiseFeasibleSet, WindowDecoder
 
 from conftest import random_observable_model
-from oracles import grid_feasibility
+from oracles import grid_feasibility, weighted_ls_value
 
 
 def stack(model, per_step_rows):
@@ -248,16 +250,125 @@ def test_innovation_bound_values(stable_two_state, vtf):
     assert r.detector_threshold(vtf) >= r.innovation_bound(vtf)
 
 
-def test_oracle_indeterminate_band():
-    # residual gap inside (eps, 10 eps): numerically too close to call
+def test_oracle_indeterminate_band(monkeypatch):
+    # delta_w = 0 and off-range residuals near eps_feas: each slot is one
+    # scalar, the per-step radius is 0, and uniform weights bound the min-max
+    # norm from below by ||r|| / sqrt(3)
     m = r.SystemModel(A=[[0.3, 1.0], [0.0, 0.5]], B=None, C=[[1.0, 0.0]],
                       delta_w=0.0, N=3)
     Om = m.O_full()
     perp = np.linalg.svd(Om, full_matrices=True)[0][:, 2]
-    y = Om @ np.array([0.1, 0.2]) + 5e-8 * perp
-    res = r.feasibility_oracle(m, r.SensorSet.all(1), y)
+
+    def window(size):
+        return Om @ np.array([0.1, 0.2]) + size * perp
+
+    # 5e-8 off range: certified infeasible, sqrt(||r||^2 / 3) above eps_feas
+    res = r.feasibility_oracle(m, r.SensorSet.all(1), window(5e-8))
+    assert res.status == "infeasible"
+    assert 2.8e-8 <= res.gap < 5e-8
+    np.testing.assert_allclose(res.weights, np.full(3, 1 / 3))
+    assert np.sqrt(weighted_ls_value(Om, window(5e-8), res.weights, 3)) == pytest.approx(
+        res.gap, rel=1e-6)
+    # 5e-9 off range: a tie, feasible within eps_feas
+    res = r.feasibility_oracle(m, r.SensorSet.all(1), window(5e-9))
+    assert res.feasible
+    assert 0 < res.gap <= NoiseFeasibleSet.eps_feas
+    np.testing.assert_allclose(Om @ res.x_hat + res.w_hat, window(5e-9), rtol=0, atol=1e-15)
+    # 1.5e-8 off range: round one can call neither, so a one-round cap is
+    # indeterminate, and counted
+    monkeypatch.setattr(decoder, "MAX_ROUNDS", 1)
+    stats = DecodeStats()
+    res = WindowDecoder(m).feasibility(r.SensorSet.all(1), window(1.5e-8), stats)
     assert res.status == "indeterminate"
-    assert 1e-8 < res.gap < 1e-7
+    assert res.weights is None and res.x_hat is None
+    assert stats.indeterminate == 1 and stats.oracle_iterations == 1
+
+
+# A near-boundary window (bench recipe L0_BOUNDARY with 0.5-1.5 delta_w attacks
+# and 0-0.9 delta_w noise) whose planted sensors are 2 and 4.  The clean set
+# without sensor 2 has a witness just inside Omega; an alternating-projection
+# oracle that gave up after its iteration cap called it infeasible and the
+# decoder returned the larger support {1, 2}.
+BOUNDARY_A = [[-0.3265521170934398, -0.008027735879524999, -0.4256668436392038],
+              [-0.1329959584038018, -0.2353285739020545, 0.1707539266451405],
+              [-0.8993071648422293, -0.17447105508354113, 0.6938448350931822]]
+BOUNDARY_C = [[0.0, 0.0, 0.0],
+              [-0.8998204043493616, -0.10163145022144092, -0.6475751982397981],
+              [1.0, 0.08251244650028355, 0.3230160184892046],
+              [1.425312598119248, 1.6011513534387092, 1.2092653196103211],
+              [1.2299140192309808, -0.35560995938362605, -1.0817579071803671],
+              [-0.9008889699521753, -1.107526231316503, -1.3953895941489034]]
+BOUNDARY_DELTA_W = 0.3038140931041085
+BOUNDARY_Y = [-0.09813242839856474, 0.015320643778549449, 0.042666488321982256,
+              0.23715539134679825, 0.9587867507671719, 0.041170761339912876,
+              0.2780496361308482, -0.24757963016306386, 0.08579628711167406,
+              -2.156063013409075, -0.6460030774869057, -0.44708217635691777,
+              2.332140001136331, 1.2493430611897332, 1.517145896972305,
+              1.9081746219751572, 1.3230780257130637, 0.9562288885685803]
+
+
+def test_decode_accepts_first_feasible_support_near_boundary():
+    m = r.SystemModel(A=BOUNDARY_A, B=None, C=BOUNDARY_C, delta_w=BOUNDARY_DELTA_W, N=3)
+    dec = WindowDecoder(m)
+    y = np.array(BOUNDARY_Y)
+    O, N, dw = m.O_full(), m.N, m.delta_w
+    res = dec.decode(y)
+    assert res.support == r.SensorSet.of([2], 6)
+    assert res.stats.indeterminate == 0
+    clean = res.support.complement()
+    rows = clean.block_rows(N)
+    assert dec.omega.contains(res.w_hat[rows], dw, N)
+    np.testing.assert_allclose(O[rows] @ res.x_hat + res.w_hat[rows], y[rows], rtol=0, atol=1e-12)
+    # every earlier support is infeasible, each with a certificate
+    for support in dec._supports()[:res.stats.supports_tested - 1]:
+        rows = support.complement().block_rows(N)
+        verdict = dec.feasibility(support.complement(), y)
+        assert verdict.status == "infeasible"
+        weights = verdict.weights if verdict.iterations else np.full(N, 1 / N)
+        assert weighted_ls_value(O[rows], y[rows], weights, N) > dw ** 2
+
+
+@pytest.mark.parametrize("mode", [PER_STEP, STACKED])
+def test_feasibility_verdicts_carry_certificates(mode):
+    rng = np.random.default_rng(12)
+    omega = NoiseFeasibleSet(mode=mode)
+    oracle_mode = "per_step" if mode == PER_STEP else "stacked"
+    seen = collections.Counter()
+    for k in range(6):
+        m = random_observable_model(rng, p=5, weighted=bool(k % 2))
+        dec = WindowDecoder(m, omega)
+        O, N, dw, p = m.O_full(), m.N, m.delta_w, m.p
+        radius = dw if mode == PER_STEP else np.sqrt(N) * dw
+        uniform = np.full(N, 1 / N) if mode == PER_STEP else np.ones(1)
+        for _ in range(25):
+            # per-slot noise at 90-100 % of delta_w, two sensors attacked near it
+            w = rng.normal(size=(N, p))
+            w *= dw * rng.uniform(0.9, 1.0, (N, 1)) / np.linalg.norm(w, axis=1, keepdims=True)
+            y = O @ rng.normal(size=m.n) + w.T.ravel()
+            for i in rng.choice(p, size=2, replace=False):
+                y[i * N:(i + 1) * N] += rng.choice([-1, 1], size=N) * rng.uniform(0.5, 1.5, N) * dw
+            for support in dec._supports()[:dec.decode(y).stats.supports_tested]:
+                rows = support.complement().block_rows(N)
+                v = dec.feasibility(support.complement(), y)
+                if v.feasible:
+                    seen["feasible", v.iterations > 0] += 1
+                    np.testing.assert_allclose(O[rows] @ v.x_hat + v.w_hat, y[rows],
+                                               rtol=0, atol=1e-12 * (1 + np.abs(y).max()))
+                    assert omega.contains(v.w_hat, dw, N) or 0 < v.gap <= omega.eps_feas
+                    continue
+                assert v.status == "infeasible"
+                seen["infeasible", v.iterations > 0] += 1
+                if v.iterations == 0:
+                    assert v.weights is None
+                    value = weighted_ls_value(O[rows], y[rows], uniform, N, oracle_mode)
+                    assert value > radius ** 2
+                else:
+                    value = weighted_ls_value(O[rows], y[rows], v.weights, N, oracle_mode)
+                    assert value > radius ** 2
+                    assert np.sqrt(value) - radius == pytest.approx(v.gap, rel=1e-6)
+    assert seen["feasible", False] and seen["infeasible", False]
+    if mode == PER_STEP:
+        assert seen["feasible", True] and seen["infeasible", True]
 
 
 def test_window_length_one():

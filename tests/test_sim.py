@@ -4,6 +4,8 @@ import pytest
 import rse_lab as r
 from rse_lab.decoder import WindowDecoder
 
+from conftest import random_observable_model
+
 
 def test_step_examples(stable_two_state, vtf):
     nxt, y = r.step(stable_two_state, [1.0, 0.0], [0.0], np.zeros(2), np.zeros(1))
@@ -248,3 +250,15 @@ def test_policy_mask_matches_schedule():
     assert mask.shape == (20, 3)
     for t in range(20):
         assert [i for i in (1, 2, 3) if mask[t, i - 1]] == list(pol.auth_set(t).indices)
+
+
+def test_unstable_run_reports_precision_loss():
+    # spectral radius 1.41: by t = 110 the states are near 1e15, and the
+    # rounding of y (eps * ||y|| = 1.23 delta_w) breaks the attack-free bound
+    # although the realized noise stays inside delta_w
+    rng = np.random.default_rng(5)
+    random_observable_model(rng, unstable=False)
+    m = random_observable_model(rng, unstable=True)
+    noise = r.NoiseSpec(kind="uniform_elementwise", lo=-0.02, hi=0.02, seed=1)
+    with pytest.raises(r.PrecisionLoss, match=r"t=110 .*states reach norm 9\.86e\+14"):
+        r.sim.run_closed_loop(m, 300, noise, compromised=r.SensorSet.all(m.p))
