@@ -42,7 +42,6 @@ from .attackability import (
 )
 from .sim import (
     AuthPolicy,
-    AuthViolation,
     NoiseBoundViolation,
     NoiseSpec,
     Periodic,

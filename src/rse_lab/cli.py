@@ -1,9 +1,9 @@
 """Command-line harness: analyze, simulate, attack, decode, reproduce.
 
 Exit codes: 0 success / not attackable, 1 invalid configuration or input,
-2 attackable (analyze), 3 borderline rank margins (analyze), 5 indeterminate
-feasibility verdicts, where the decoder's dual-weighted least-squares loop
-reached its round cap, number more than 1% of the windows (simulate).
+2 attackable (analyze), 3 borderline rank margins (analyze), 5 more than 1%
+of the windows have an indeterminate feasibility verdict, where the decoder's
+dual-weighted least-squares loop reached its round cap (simulate).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .attackability import policy_prevents_pa, report_to_json
 from .config import (
     VTF_DT,
     ScenarioConfig,
+    _seed_override,
     builtin_scenarios,
     load_config,
     vtf_scenario,
@@ -186,7 +187,7 @@ def _emit_plot_script(outdir: str) -> str:
 def cmd_reproduce(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     fig = args.figure
-    seed = int(os.environ.get("RSE_LAB_SEED", "0"))
+    seed = _seed_override(0)
     wrote = []
 
     if fig in ("fig2a", "fig2b"):

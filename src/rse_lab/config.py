@@ -17,6 +17,9 @@ __all__ = ["ScenarioConfig", "load_config", "parse_config", "vtf_model",
            "vtf_scenario", "builtin_scenarios"]
 
 SEED_ENV = "RSE_LAB_SEED"
+ATTACK_KEYS = {"none": {"source"},
+               "synth": {"source", "start", "period", "epsilon"},
+               "file": {"source", "path"}}
 
 
 @dataclass
@@ -53,9 +56,7 @@ class ScenarioConfig:
             policy=self.policy,
             start=self.attack.get("start"),
             epsilon=self.attack.get("epsilon"),
-            safety=float(self.attack.get("safety", 0.5)),
             period=int(self.attack.get("period", 1)),
-            alpha_gain=self.attack.get("alpha_gain"),
         )
 
     def run(self, x0: Optional[np.ndarray] = None) -> tuple[SimTrace, Optional[AttackPlan]]:
@@ -100,6 +101,8 @@ def make_reference(model: SystemModel, spec: Optional[dict], dt: float):
 
 
 def _seed_override(seed: int) -> int:
+    """RSE_LAB_SEED when set, else seed.  Applied where a scenario comes in from
+    outside (config files, builtins, reproduce), never to library calls."""
     env = os.environ.get(SEED_ENV)
     if env is not None:
         try:
@@ -116,7 +119,8 @@ def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
         raise
     except KeyError as exc:
         raise ConfigError(f"missing configuration key: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
+        # AttributeError: a section that should be an object is not, e.g. "attack": "synth"
         raise ConfigError(f"malformed configuration: {exc}") from exc
 
 
@@ -167,8 +171,13 @@ def _parse_config(doc: dict, name: str) -> ScenarioConfig:
     reference = ctrl.get("reference")
 
     attack = doc.get("attack", {"source": "none"})
-    if attack.get("source", "none") not in ("none", "synth", "file"):
+    allowed = ATTACK_KEYS.get(attack.get("source", "none"))
+    if allowed is None:
         raise ConfigError(f"unknown attack source {attack.get('source')!r}")
+    unknown = sorted(set(attack) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown} for attack source "
+                          f"{attack.get('source', 'none')!r}; allowed: {sorted(allowed)}")
     if attack.get("source") == "file" and not os.path.exists(attack.get("path", "")):
         raise ConfigError(f"attack file not found: {attack.get('path')!r}")
 
@@ -217,8 +226,7 @@ def vtf_scenario(name: str = "vtf", *, seed: int = 0, horizon: int = 6000,
         policy = AuthPolicy.periodic([1, 2], auth_period, model.p)
     return ScenarioConfig(
         model=model,
-        noise=NoiseSpec(kind="uniform_elementwise", lo=-0.05, hi=0.05,
-                        seed=_seed_override(seed)),
+        noise=NoiseSpec(kind="uniform_elementwise", lo=-0.05, hi=0.05, seed=seed),
         compromised=SensorSet.all(model.p),
         attack=attack if attack is not None else {"source": "none"},
         policy=policy,
@@ -231,11 +239,14 @@ def vtf_scenario(name: str = "vtf", *, seed: int = 0, horizon: int = 6000,
 
 
 def builtin_scenarios() -> dict:
+    """Bundled scenario factories by name; their noise seed is 0 unless
+    RSE_LAB_SEED is set."""
+    def make(name, synth=True, auth_period=None):
+        return lambda: vtf_scenario(name, seed=_seed_override(0), auth_period=auth_period,
+                                    attack={"source": "synth"} if synth else None)
     return {
-        "vtf": lambda: vtf_scenario(),
-        "vtf-attack": lambda: vtf_scenario("vtf-attack", attack={"source": "synth"}),
-        "vtf-auth10": lambda: vtf_scenario("vtf-auth10", attack={"source": "synth"},
-                                           auth_period=10),
-        "vtf-auth100": lambda: vtf_scenario("vtf-auth100", attack={"source": "synth"},
-                                            auth_period=100),
+        "vtf": make("vtf", synth=False),
+        "vtf-attack": make("vtf-attack"),
+        "vtf-auth10": make("vtf-auth10", auth_period=10),
+        "vtf-auth100": make("vtf-auth100", auth_period=100),
     }

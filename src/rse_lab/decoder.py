@@ -89,8 +89,9 @@ class FeasibilityResult:
     in Omega, or, when gap > 0, a tie with w_hat gap <= eps_feas outside it.
     infeasible: weights (one per ball, summing to 1) with weighted least-squares
     value g > (radius + eps_feas)^2, and gap = sqrt(g) - radius; after a quick
-    reject (iterations == 0) weights are None, uniform weights certify, and gap
-    = ||r_ls|| - sqrt(N) delta_w.  indeterminate: no verdict in MAX_ROUNDS rounds."""
+    reject (iterations == 0) weights are None and uniform weights certify, so
+    gap = ||r_ls|| / sqrt(N) - delta_w per step and ||r_ls|| - sqrt(N) delta_w
+    stacked.  indeterminate: no verdict in MAX_ROUNDS rounds."""
 
     status: str  # "feasible" | "infeasible" | "indeterminate"
     x_hat: Optional[np.ndarray] = None
@@ -192,10 +193,13 @@ class WindowDecoder:
         # quick reject: even the closest affine point cannot reach Omega
         # (the per-step ball product also lives inside the sqrt(N) dw ball)
         r_ls = y_c - ctx.O_c @ (ctx.pinv @ y_c)
-        max_norm = np.sqrt(N) * dw
+        sqrt_N = np.sqrt(N)
+        max_norm = sqrt_N * dw
         rho = float(np.linalg.norm(r_ls))
         if rho > max_norm + max(10 * omega.eps_feas, 1e-12):
-            return FeasibilityResult("infeasible", None, None, rho - max_norm, 0)
+            # uniform weights certify it: sqrt(g) = ||r_ls|| / sqrt(N) per step
+            gap = rho / sqrt_N - dw if omega.mode == PER_STEP else rho - max_norm
+            return FeasibilityResult("infeasible", None, None, gap, 0)
 
         # dual-weighted least squares (Lawson): for group weights lam in the
         # simplex, g = min_x sum_k lam_k f_k(x) <= (min_x max_k ||r_k(x)||)^2,

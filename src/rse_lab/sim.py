@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "PrecisionLoss",
     "Periodic",
     "AuthPolicy",
-    "AuthViolation",
     "Delivered",
     "SimTrace",
     "step",
@@ -191,15 +190,6 @@ class PrecisionLoss(ConfigError):
     """Float rounding of the outputs swamps delta_w, so the decodes lose their meaning."""
 
 
-class AuthViolation(RuntimeError):
-    """An attack plan requested a nonzero injection on an authenticated sensor."""
-
-    def __init__(self, t: int, sensors: Sequence[int]):
-        self.t = t
-        self.sensors = tuple(sensors)
-        super().__init__(f"nonzero attack on authenticated sensor(s) {self.sensors} at t={t}")
-
-
 @dataclass(frozen=True)
 class Delivered:
     y_delivered: np.ndarray
@@ -271,7 +261,7 @@ class SimTrace:
     auth_mask: np.ndarray    # (T,) int bitmask, bit i-1 set when sensor i authenticated
     violations: list = field(default_factory=list)
     supports: list = field(default_factory=list)
-    indeterminate: int = 0
+    indeterminate: int = 0   # windows with an indeterminate feasibility verdict
     threshold_d: float = 0.0
     supports_tested: int = 0
     oracle_iterations: int = 0
@@ -362,8 +352,7 @@ def run_closed_loop(model: SystemModel,
                     policy: Optional[AuthPolicy] = None,
                     controller_gain: Optional[np.ndarray] = None,
                     reference: Optional[Callable[[int], tuple[np.ndarray, np.ndarray]]] = None,
-                    x0: Optional[np.ndarray] = None,
-                    strict_auth: bool = False) -> SimTrace:
+                    x0: Optional[np.ndarray] = None) -> SimTrace:
     """Simulate `horizon` decoded steps of the closed loop.
 
     The plant runs horizon + N - 1 measurement steps so that every t in
@@ -379,9 +368,10 @@ def run_closed_loop(model: SystemModel,
     otherwise the inputs cannot depend on the estimates, and every window is
     decoded afterwards in one WindowDecoder.decode_batch call.
 
-    attack(t) returns the requested injection p-vector at step t (or None).
-    With strict_auth the run aborts on an authentication violation; otherwise
-    the violation is recorded in the trace and the injection entry zeroed.
+    attack(t) returns the requested injection p-vector at step t.  A nonzero
+    entry on a sensor authenticated at t is a violation: it is zeroed before
+    delivery and recorded as (t, sensors) in SimTrace.violations.  A nonzero
+    entry outside the compromised set raises ConfigError.
     Raises NoiseBoundViolation when the drawn noise leaves the model's
     declared per-slot window-noise bound delta_w, or when an attack-free run breaks
     its error bound; PrecisionLoss instead when there eps * max ||y_t|| >= delta_w / 100.
@@ -416,8 +406,6 @@ def run_closed_loop(model: SystemModel,
     a_applied = np.zeros((T_meas, p)) if attack is None else np.array(
         [np.asarray(attack(t), dtype=float).ravel() for t in range(T_meas)])
     violations = _enforce(a_applied, comp, auth)
-    if violations and strict_auth:
-        raise AuthViolation(*violations[0])
 
     x = np.zeros((T_meas + 1, n))
     if x0 is not None:
@@ -441,7 +429,7 @@ def run_closed_loop(model: SystemModel,
         supports[s], al1[s] = res.support, id1(res)
         totals.supports_tested += res.stats.supports_tested - 1
         totals.oracle_iterations += res.stats.oracle_iterations
-        totals.indeterminate += res.stats.indeterminate
+        totals.indeterminate += res.stats.indeterminate > 0  # windows, not verdicts
 
     # plant (and, with feedback, decode and control) step by step
     xt = x[0]

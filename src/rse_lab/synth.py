@@ -37,12 +37,13 @@ from .model import (
     SystemModel,
     build_overlap_stack,
     build_O,
+    matvec_rows,
     null_basis,
     rank_with_tol,
     unstable_chain,
     unstable_eigenstructure,
 )
-from .sim import AuthPolicy, AuthViolation, NoiseSpec, effective_window_noise
+from .sim import AuthPolicy, NoiseSpec, effective_window_noise
 
 __all__ = [
     "NotPerfectlyAttackable",
@@ -51,6 +52,8 @@ __all__ = [
     "sustained_attack",
     "stealth_slack",
 ]
+
+SLACK_SHARE = 0.5  # share of each window slot's realized noise slack a ramp may spend
 
 
 class NotPerfectlyAttackable(RuntimeError):
@@ -222,50 +225,34 @@ def _max_scale(base: np.ndarray, add: np.ndarray, allowed: float) -> float:
 class _SlackLedger:
     """Tracks committed per-(window, slot) noise deviations against budgets."""
 
-    def __init__(self, model: SystemModel, w_eff: np.ndarray, safety: float):
-        self.model = model
-        self.N, self.p = model.N, model.p
+    def __init__(self, model: SystemModel, w_eff: np.ndarray):
+        self.C, self.powers, self.N = model.C, model.powers(), model.N
         self.S = w_eff.shape[0]
         self.base = w_eff.copy()              # noise + committed deviations
         norms = np.linalg.norm(w_eff, axis=2)
         dw = model.delta_w
-        # consume at most `safety` of each slot's realized slack
-        self.allowed = np.minimum(norms + safety * np.maximum(dw - norms, 0.0), dw)
+        # consume at most SLACK_SHARE of each slot's realized slack
+        self.allowed = np.minimum(norms + SLACK_SHARE * np.maximum(dw - norms, 0.0), dw)
 
-    def deviation_targets(self, tau: int):
-        """(s, k) pairs whose feasibility an injection at time tau touches."""
-        out = []
-        for s in range(max(0, tau - self.N + 1), min(tau, self.S)):
-            for k in range(tau - s, self.N):
-                out.append((s, k))
-        return out
+    def _deviations(self, taus, vecs) -> dict:
+        """(s, k) -> summed noise deviation C A^{s+k-tau} v of the injections
+        (tau, v) on every window slot they reach."""
+        adds: dict = {}
+        for tau, vec in zip(taus, vecs):
+            for s in range(max(0, tau - self.N + 1), min(tau, self.S)):
+                for k in range(tau - s, self.N):
+                    adds[s, k] = adds.get((s, k), 0.0) + self.C @ (self.powers[s + k - tau] @ vec)
+        return adds
 
-    def max_coeff(self, tau: int, direction: np.ndarray) -> float:
-        """Largest coefficient for an injection along `direction` at time tau."""
-        c = np.inf
-        Cm = self.model.C
-        for s, k in self.deviation_targets(tau):
-            add = Cm @ (self.model.powers()[s + k - tau] @ direction)
-            c = min(c, _max_scale(self.base[s, k], add, self.allowed[s, k]))
+    def scale(self, taus, vecs) -> float:
+        """Largest shared scale c >= 0 for the injections (tau, c v)."""
+        c = min((_max_scale(self.base[sk], add, self.allowed[sk])
+                 for sk, add in self._deviations(taus, vecs).items()), default=np.inf)
         return 0.0 if not np.isfinite(c) else c
 
     def commit(self, tau: int, vec: np.ndarray) -> None:
-        Cm = self.model.C
-        for s, k in self.deviation_targets(tau):
-            self.base[s, k] += Cm @ (self.model.powers()[s + k - tau] @ vec)
-
-    def pattern_scale(self, taus, vecs) -> float:
-        """One shared scale for a coupled injection pattern (policy gaps)."""
-        adds: dict = {}
-        Cm = self.model.C
-        for tau, vec in zip(taus, vecs):
-            for s, k in self.deviation_targets(tau):
-                key = (s, k)
-                adds[key] = adds.get(key, 0.0) + Cm @ (self.model.powers()[s + k - tau] @ vec)
-        scale = np.inf
-        for (s, k), add in adds.items():
-            scale = min(scale, _max_scale(self.base[s, k], add, self.allowed[s, k]))
-        return 0.0 if not np.isfinite(scale) else scale
+        for sk, add in self._deviations([tau], [vec]).items():
+            self.base[sk] += add
 
 
 def _reset_times(policy: Optional[AuthPolicy], compromised: SensorSet,
@@ -283,25 +270,28 @@ def sustained_attack(model: SystemModel, compromised: SensorSet, *,
                      policy: Optional[AuthPolicy] = None,
                      start: Optional[int] = None,
                      epsilon: Optional[float] = None,
-                     safety: float = 0.5,
-                     period: int = 1,
-                     alpha_gain: Optional[float] = None) -> AttackPlan:
+                     period: int = 1) -> AttackPlan:
     """Build a stealthy over-time attack plan for `horizon` decoded steps.
 
-    detector "I" with a rank-deficient F uses the cold-start construction
-    (epsilon sets the start magnitude, alpha_gain the per-step null-space
-    drive).  Otherwise the noise-slack ramp construction is used; it needs
-    the realized noise (omniscient attacker) and an over-time verdict for the
-    targeted detector.  A policy authenticating compromised sensors turns the
-    plan into a sawtooth that returns the attacker state to zero exactly at
-    every enforcement time; growth is then bounded, as the policy analysis
-    predicts.
+    No entry is nonzero before `start` (default N - 1, the first step that
+    completes a window).  detector "I" with a rank-deficient F uses the
+    cold-start construction: one state injection of norm epsilon (default
+    100) through null(F), plus, on a plant without unstable modes, a
+    null-space drive growing by 0.05 max(1, epsilon) per step.  Otherwise the
+    noise-slack ramp is used; it needs the realized noise (omniscient
+    attacker) and an over-time verdict for the targeted detector.  The ramp
+    injects every `period` steps and spends at most SLACK_SHARE of each
+    window slot's realized noise slack; without resets, epsilon caps the
+    stacked norm ||O v|| of every injection v.  A policy authenticating
+    compromised sensors turns the plan into a sawtooth that returns the
+    attacker state to zero exactly at every enforcement time; growth is then
+    bounded, as the policy analysis predicts.
     """
     det = detector.upper().replace("ID_", "")
     if det not in ("I", "II", "1", "2"):
         raise ConfigError(f"unknown detector {detector!r}")
     det = "I" if det in ("I", "1") else "II"
-    N, p = model.N, model.p
+    N = model.N
     t0 = (N - 1) if start is None else int(start)
     if t0 < N - 1:
         raise ConfigError(f"attack start must leave a complete ramp window (>= {N - 1})")
@@ -317,15 +307,7 @@ def sustained_attack(model: SystemModel, compromised: SensorSet, *,
         if not verdict:
             raise NotPerfectlyAttackable(verdict.notes)
         eta = 100.0 if epsilon is None else float(epsilon)
-        if alpha_gain is None:
-            # a stable A shrinks the propagated state; a growing null-space
-            # drive keeps the error above any bound eventually
-            stable = not unstable_eigenstructure(model.A, model.stability_margin,
-                                                 model.rank_tol)
-            gain = 0.05 * max(1.0, eta) if stable else 0.0
-        else:
-            gain = float(alpha_gain)
-        return _cold_start_plan(model, compromised, F, horizon, eta, gain, t0)
+        return _cold_start_plan(model, compromised, F, horizon, eta, t0)
 
     verdict = pa_over_time_id2(model, compromised) if det == "II" \
         else pa_over_time_id1(model, compromised)
@@ -334,50 +316,66 @@ def sustained_attack(model: SystemModel, compromised: SensorSet, *,
     if noise is None:
         raise ConfigError("ramped synthesis needs the scenario noise stream")
     return _ramped_plan(model, compromised, det, horizon, noise, policy, t0,
-                        safety, max(1, int(period)), epsilon)
+                        max(1, int(period)), epsilon)
+
+
+def _roll_forward(model: SystemModel, compromised: SensorSet, inj: np.ndarray,
+                  resets: list[int], atol: float, rtol: float,
+                  what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Attack entries C zeta(t) and attacker states zeta(t) of the generator
+    zeta(t) = A zeta(t-1) + inj[t], with zeta snapped to zero at the resets.
+
+    A clean sensor's entry above max(atol, rtol ||C zeta(t)||) refuses the
+    plan; below that it is float dust and is zeroed.
+    """
+    zeta_hist = np.zeros_like(inj)
+    zeta = np.zeros(model.n)
+    reset_set = set(resets)
+    for t in range(len(inj)):
+        zeta = zeta + inj[t]
+        if t in reset_set:
+            # the pattern was solved to land exactly on zero; snap the float dust
+            if np.linalg.norm(zeta) > 1e-6:
+                raise NotPerfectlyAttackable(
+                    f"sawtooth failed to reset the attacker state at enforcement time t={t}")
+            zeta = np.zeros(model.n)
+        zeta_hist[t] = zeta
+        zeta = model.A @ zeta
+    entries = matvec_rows(model.C, zeta_hist)
+    clean = np.ones(model.p, dtype=bool)
+    clean[list(compromised.indices0)] = False
+    leak = np.abs(entries[:, clean]).max(axis=1, initial=0.0)
+    if np.any(leak > np.maximum(atol, rtol * np.linalg.norm(entries, axis=1))):
+        raise NotPerfectlyAttackable(f"{what} propagation leaks onto clean sensors")
+    entries[:, clean] = 0.0
+    return entries, zeta_hist
 
 
 def _cold_start_plan(model: SystemModel, compromised: SensorSet, F: np.ndarray,
-                     horizon: int, eta: float, alpha_gain: float, t0: int) -> AttackPlan:
-    N, p = model.N, model.p
-    T_meas = horizon + N - 1
-    fnull = null_basis(F, model.rank_tol)
-    z0 = np.real(fnull[:, 0])
-    z0 = z0 / np.linalg.norm(z0) * eta
-    O_clean = build_O(model, compromised.complement())
-    anchor = t0 - (N - 1)
-    zeta_hist = np.zeros((T_meas, model.n))
-    entries = np.zeros((T_meas, p))
-    zeta = np.zeros(model.n)
-    comp_mask = np.zeros(p, dtype=bool)
-    comp_mask[list(compromised.indices0)] = True
-    injections = []
-    for t in range(T_meas):
-        if t == anchor:
-            zeta = zeta + z0
-            injections.append((t, z0.copy()))
-        elif t > anchor and alpha_gain != 0.0:
-            alpha = alpha_gain * (t - anchor) * np.real(fnull[:, 0])
-            zeta = zeta + alpha
-            injections.append((t, alpha))
-        a = model.C @ zeta
-        if O_clean.shape[0]:
-            leak = np.abs(a[~comp_mask])
-            if leak.size and leak.max() > 1e-6 * max(1.0, eta):
-                raise NotPerfectlyAttackable("cold-start propagation leaks onto clean sensors")
-        a[~comp_mask] = 0.0
-        if t < t0:
-            # analytically zero (F z = 0 kills powers up to N-2); snap the dust
-            if np.max(np.abs(a), initial=0.0) > 1e-9 * max(1.0, eta):
-                raise NotPerfectlyAttackable(
-                    f"cold-start attack is nonzero at t={t}, before its start t0={t0}")
-            a[:] = 0.0
-        entries[t] = a
-        zeta_hist[t] = zeta
-        zeta = model.A @ zeta
+                     horizon: int, eta: float, t0: int) -> AttackPlan:
+    T_meas = horizon + model.N - 1
+    # a stable A shrinks the propagated state; a growing null-space drive
+    # keeps the error above any bound eventually
+    stable = not unstable_eigenstructure(model.A, model.stability_margin, model.rank_tol)
+    gain = 0.05 * max(1.0, eta) if stable else 0.0
+    z = np.real(null_basis(F, model.rank_tol)[:, 0])
+    anchor = t0 - (model.N - 1)
+    inj = np.zeros((T_meas, model.n))
+    inj[anchor] = z / np.linalg.norm(z) * eta
+    if gain != 0.0:
+        inj[anchor + 1:] = (gain * np.arange(1, T_meas - anchor))[:, None] * z
+    entries, zeta_hist = _roll_forward(model, compromised, inj, [], 1e-6 * max(1.0, eta),
+                                       0.0, "cold-start")
+    # analytically zero before t0 (F z = 0 kills powers up to N-2); snap the dust
+    early = np.flatnonzero(np.abs(entries[:t0]).max(axis=1) > 1e-9 * max(1.0, eta))
+    if early.size:
+        raise NotPerfectlyAttackable(
+            f"cold-start attack is nonzero at t={early[0]}, before its start t0={t0}")
+    entries[:t0] = 0.0
+    injections = [(t, inj[t]) for t in range(anchor, T_meas if gain else anchor + 1)]
     return AttackPlan(entries, 0, compromised, "I", epsilon=eta, zeta=zeta_hist,
                       injections=injections,
-                      notes=f"cold start through null(F), eta={eta:g}, alpha_gain={alpha_gain:g}")
+                      notes=f"cold start through null(F), eta={eta:g}, drive gain={gain:g}")
 
 
 def _half_and_half(g: int) -> np.ndarray:
@@ -389,12 +387,9 @@ def _half_and_half(g: int) -> np.ndarray:
 
 def _ramped_plan(model: SystemModel, compromised: SensorSet, det: str,
                  horizon: int, noise: NoiseSpec, policy: Optional[AuthPolicy],
-                 t0: int, safety: float, period: int,
-                 eps_cap: Optional[float]) -> AttackPlan:
+                 t0: int, period: int, eps_cap: Optional[float]) -> AttackPlan:
     N, p, n = model.N, model.p, model.n
     T_meas = horizon + N - 1
-    if not 0 < safety < 1:
-        raise ConfigError("safety fraction must be in (0, 1)")
     basis = _ChainBasis(model, compromised)
     if not basis.growing:
         raise NotPerfectlyAttackable(
@@ -402,8 +397,7 @@ def _ramped_plan(model: SystemModel, compromised: SensorSet, det: str,
             "the propagated attack stays bounded")
 
     vP, vM = noise.draw(T_meas, n, p)
-    w_eff = effective_window_noise(model, vP, vM, horizon)
-    ledger = _SlackLedger(model, w_eff, safety)
+    ledger = _SlackLedger(model, effective_window_noise(model, vP, vM, horizon))
     tail_dir = basis.V @ basis.tail()
 
     resets = _reset_times(policy, compromised, t0, T_meas)
@@ -412,7 +406,7 @@ def _ramped_plan(model: SystemModel, compromised: SensorSet, det: str,
     if not resets:
         # free-running growth: greedy injections, each inside the remaining slack
         for tau in range(t0, T_meas, period):
-            c = ledger.max_coeff(tau, tail_dir)
+            c = ledger.scale([tau], [tail_dir])
             if eps_cap is not None:
                 c = min(c, eps_cap / max(1e-300, float(np.linalg.norm(
                     model.O_full() @ tail_dir))))
@@ -442,7 +436,7 @@ def _ramped_plan(model: SystemModel, compromised: SensorSet, det: str,
                     continue
                 shape = proj
             vecs = [s * tail_dir for s in shape]
-            scale = ledger.pattern_scale(taus, vecs)
+            scale = ledger.scale(taus, vecs)
             if scale <= 0:
                 continue
             for tau, v in zip(taus, vecs):
@@ -453,46 +447,12 @@ def _ramped_plan(model: SystemModel, compromised: SensorSet, det: str,
     if not injections:
         raise NotPerfectlyAttackable("no admissible injection found (no noise slack)")
 
-    # roll the generator state forward and emit per-step attack vectors
-    inj_at: dict[int, np.ndarray] = {}
+    inj = np.zeros((T_meas, n))
     for tau, vec in injections:
-        inj_at[tau] = inj_at.get(tau, 0.0) + vec
-    comp_mask = np.zeros(p, dtype=bool)
-    comp_mask[list(compromised.indices0)] = True
-    entries = np.zeros((T_meas, p))
-    zeta_hist = np.zeros((T_meas, n))
-    zeta = np.zeros(n)
-    reset_set = set(resets)
-    for t in range(T_meas):
-        if t in inj_at:
-            zeta = zeta + inj_at[t]
-        if t in reset_set:
-            # the pattern was solved to land exactly on zero; snap the float dust
-            if np.linalg.norm(zeta) > 1e-6:
-                raise NotPerfectlyAttackable(
-                    f"sawtooth failed to reset the attacker state at enforcement time t={t}")
-            zeta = np.zeros(n)
-        a = model.C @ zeta
-        leak = np.abs(a[~comp_mask])
-        if leak.size and leak.max() > 1e-9 * max(1.0, float(np.linalg.norm(a))):
-            raise NotPerfectlyAttackable("ramped propagation leaks onto clean sensors")
-        a[~comp_mask] = 0.0
-        entries[t] = a
-        zeta_hist[t] = zeta
-        zeta = model.A @ zeta
-    # authentication consistency: never request a nonzero value at an
-    # enforcement time of a compromised sensor; from t0 on those are the
-    # resets, and before t0 every entry is zero
-    if policy is not None:
-        for t in resets:
-            for i in policy.auth_set(t):
-                if i in compromised.indices and entries[t][i - 1] != 0.0:
-                    if abs(entries[t][i - 1]) > 1e-9:
-                        raise AuthViolation(t, (i,))
-                    entries[t][i - 1] = 0.0
-
+        inj[tau] += vec
+    entries, zeta_hist = _roll_forward(model, compromised, inj, resets, 1e-9, 1e-9, "ramped")
     eps0 = float(np.linalg.norm(model.O_full() @ injections[0][1]))
     return AttackPlan(entries, 0, compromised, det, epsilon=eps0, zeta=zeta_hist,
                       injections=injections,
                       notes=f"noise-slack ramp, {len(injections)} injections, "
-                            f"safety={safety:g}, resets={len(resets)}")
+                            f"resets={len(resets)}")

@@ -222,3 +222,44 @@ def test_bundled_config_files_load():
         cfg = r.load_config(str(configs / name))
         assert cfg.model.p == 3 and cfg.horizon == 6000
     assert run_cli(["analyze", "--config", str(configs / "vtf_auth10.json")]) == 0
+
+
+def test_seed_env_applies_where_scenarios_come_in(tmp_path, monkeypatch, capsys):
+    # the override replaces the seed of scenarios that come in from outside,
+    # never the seed a library caller passes (fig3's y axis draws seed + 1)
+    from rse_lab import cli
+    monkeypatch.setenv("RSE_LAB_SEED", "7")
+    assert r.vtf_scenario(seed=8).noise.seed == 8
+    args = cli.build_parser().parse_args(["simulate", "--builtin", "vtf"])
+    assert cli._load_scenario(args).noise.seed == 7
+    doc = {"system": {"A": [[1, .01], [0, 1]], "C": [[1, 0], [0, 1]], "N": 2,
+                      "delta_w": "auto"},
+           "noise": {"kind": "uniform_elementwise", "lo": -0.05, "hi": 0.05, "seed": 0}}
+    assert r.parse_config(doc).noise.seed == 7
+    seeds = []
+    real = cli.vtf_scenario
+    monkeypatch.setattr(cli, "vtf_scenario",
+                        lambda *a, **kw: seeds.append(kw["seed"]) or real(*a, **kw))
+    assert run_cli(["reproduce", "fig2a", "--outdir", str(tmp_path)]) == 0
+    assert seeds == [7]
+
+
+def test_parse_config_rejects_unknown_attack_keys(tmp_path, capsys):
+    base = {"system": {"A": [[1, .01], [0, 1]], "C": [[1, 0], [0, 1], [0, 1]], "N": 2,
+                       "delta_w": "auto"},
+            "compromised": [1, 2, 3], "horizon": {"steps": 10}}
+    for attack in ({"source": "synth", "safety": 0.3}, {"source": "synth", "alpha_gain": 1.0},
+                   {"source": "synth", "strat": 5}, {"start": 5},
+                   {"source": "file", "path": "plan.csv", "period": 2}):
+        with pytest.raises(r.ConfigError, match="unknown keys"):
+            r.parse_config(dict(base, attack=attack))
+    cfg = r.parse_config(dict(base, attack={"source": "synth", "start": 5, "period": 2,
+                                            "epsilon": 1.0}))
+    assert cfg.attack["start"] == 5
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(dict(base, attack={"source": "synth", "safety": 0.3})))
+    assert run_cli(["attack", "--config", str(path)]) == 1
+    assert "'safety'" in capsys.readouterr().err
+    # an attack section that is not an object is malformed, not a traceback
+    with pytest.raises(r.ConfigError, match="malformed"):
+        r.parse_config(dict(base, attack="synth"))

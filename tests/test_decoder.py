@@ -361,11 +361,10 @@ def test_feasibility_verdicts_carry_certificates(mode):
                 if v.iterations == 0:
                     assert v.weights is None
                     value = weighted_ls_value(O[rows], y[rows], uniform, N, oracle_mode)
-                    assert value > radius ** 2
                 else:
                     value = weighted_ls_value(O[rows], y[rows], v.weights, N, oracle_mode)
-                    assert value > radius ** 2
-                    assert np.sqrt(value) - radius == pytest.approx(v.gap, rel=1e-6)
+                assert value > radius ** 2
+                assert np.sqrt(value) - radius == pytest.approx(v.gap, rel=1e-6)
     assert seen["feasible", False] and seen["infeasible", False]
     if mode == PER_STEP:
         assert seen["feasible", True] and seen["infeasible", True]

@@ -123,13 +123,10 @@ def test_authentication_soundness(vtf):
             assert tr.attack[t, 0] == 0.0 and tr.attack[t, 1] == 0.0
 
 
-def test_strict_auth_raises(vtf):
+def test_auth_violations_are_recorded(vtf):
     K = r.SensorSet.all(3)
     pol = r.AuthPolicy.periodic([1], 5, 3)
     bad_attack = lambda t: np.array([1.0, 0.0, 0.0])
-    with pytest.raises(r.AuthViolation):
-        r.run_closed_loop(vtf, 20, r.NoiseSpec.zero(), compromised=K,
-                          attack=bad_attack, policy=pol, strict_auth=True)
     tr = r.run_closed_loop(vtf, 20, r.NoiseSpec.zero(), compromised=K,
                            attack=bad_attack, policy=pol)
     assert tr.violations and tr.violations[0][0] == 0
@@ -213,7 +210,7 @@ def _assert_matches_per_window(tr, noise, attack=None):
         prev = res
     assert tr.supports_tested == sum(res.stats.supports_tested for res in results)
     assert tr.oracle_iterations == sum(res.stats.oracle_iterations for res in results)
-    assert tr.indeterminate == sum(res.stats.indeterminate for res in results)
+    assert tr.indeterminate == sum(res.stats.indeterminate > 0 for res in results)
 
 
 def test_batched_run_matches_per_window_decoding(vtf, stable_two_state):
@@ -262,3 +259,24 @@ def test_unstable_run_reports_precision_loss():
     noise = r.NoiseSpec(kind="uniform_elementwise", lo=-0.02, hi=0.02, seed=1)
     with pytest.raises(r.PrecisionLoss, match=r"t=110 .*states reach norm 9\.86e\+14"):
         r.sim.run_closed_loop(m, 300, noise, compromised=r.SensorSet.all(m.p))
+
+
+def test_indeterminate_counts_windows(vtf, monkeypatch):
+    # a fallback window with two indeterminate verdicts counts once, so exit
+    # code 5's 1 % threshold compares windows with windows
+    decode = WindowDecoder.decode
+
+    def two_indeterminate(self, y):
+        res = decode(self, y)
+        res.stats.indeterminate += 2
+        return res
+
+    monkeypatch.setattr(WindowDecoder, "decode", two_indeterminate)
+    noise = r.NoiseSpec(kind="uniform_elementwise", lo=-.05, hi=.05, seed=4)
+    attack = lambda t: np.array([0.0, 0.0, 50.0])
+    tr = r.run_closed_loop(vtf, 40, noise, compromised=r.SensorSet.all(3), attack=attack)
+    assert all(s.indices == (3,) for s in tr.supports)  # every window fell back
+    assert tr.indeterminate == 40
+    # windows accepted on the batched fast path carry no verdict to count
+    tr = r.run_closed_loop(vtf, 40, noise, compromised=r.SensorSet.all(3))
+    assert tr.indeterminate == 0

@@ -3,6 +3,7 @@ import pytest
 
 import rse_lab as r
 from rse_lab.decoder import WindowDecoder
+from rse_lab.synth import _cold_start_plan, _roll_forward
 
 from conftest import single_injection_attack
 
@@ -312,3 +313,49 @@ def test_constructive_cross_check_random_systems():
         assert tr.max_error() > floor, (m.n, m.p, tuple(K.indices))
         tested += 1
     assert tested == 25
+
+
+def test_roll_forward_refuses_leaks_under_each_tolerance(vtf):
+    # sensor 3 reads the velocity, so a velocity component leaks onto it
+    K12 = r.SensorSet.of([1, 2], 3)
+
+    def roll(first, atol, rtol):
+        inj = np.zeros((6, 2))
+        inj[1] = first
+        return _roll_forward(vtf, K12, inj, [], atol, rtol, "test")
+
+    # cold start: absolute 1e-6 max(1, eta), here eta = 1000
+    entries, zeta = roll([0.0, 5e-4], 1e-3, 0.0)
+    assert not entries[:, 2].any() and entries[1, 1] == 5e-4
+    assert np.array_equal(zeta[2], vtf.A @ zeta[1])
+    with pytest.raises(r.NotPerfectlyAttackable, match="test propagation leaks"):
+        roll([0.0, 2e-3], 1e-3, 0.0)
+    # ramp: relative 1e-9 max(1, ||C zeta||), so a large state hides a larger leak
+    entries, _ = roll([1e4, 5e-6], 1e-9, 1e-9)
+    assert not entries[:, 2].any()
+    with pytest.raises(r.NotPerfectlyAttackable, match="leaks onto clean sensors"):
+        roll([1e4, 2e-5], 1e-9, 1e-9)
+    with pytest.raises(r.NotPerfectlyAttackable, match="leaks onto clean sensors"):
+        roll([1.0, 5e-6], 1e-9, 1e-9)
+
+
+def test_roll_forward_resets_sawtooth(vtf):
+    K = r.SensorSet.all(3)
+    inj = np.zeros((10, 2))
+    inj[2] = [0.0, 1.0]
+    inj[4] = [-0.02, -1.0 + 1e-9]  # returns the state to (almost) zero at t = 5
+    entries, zeta = _roll_forward(vtf, K, inj, [5], 1e-9, 1e-9, "ramped")
+    assert not zeta[5:].any() and not entries[5:].any()
+    assert zeta[4].any()
+    inj[4] = [0.0, -0.5]
+    with pytest.raises(r.NotPerfectlyAttackable,
+                       match="failed to reset the attacker state at enforcement time t=5"):
+        _roll_forward(vtf, K, inj, [5], 1e-9, 1e-9, "ramped")
+
+
+def test_cold_start_refuses_entries_before_start(vtf):
+    # a direction outside null(F) shows up on the sensors before t0
+    F = np.zeros((1, 2))
+    with pytest.raises(r.NotPerfectlyAttackable,
+                       match=r"nonzero at t=4, before its start t0=5"):
+        _cold_start_plan(vtf, r.SensorSet.all(3), F, 20, 10.0, 5)
