@@ -9,7 +9,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import ConfigError, SensorSet, SystemModel, suggest_delta_w
+from .model import ConfigError, SensorSet, SystemModel, matvec_rows, suggest_delta_w
 from .sim import AuthPolicy, NoiseSpec, SimTrace, run_closed_loop
 from .synth import AttackPlan, sustained_attack
 
@@ -75,7 +75,9 @@ class ScenarioConfig:
 
 def make_reference(model: SystemModel, spec: Optional[dict], dt: float):
     """Reference factory: t -> (x_ref(t), u_ff(t)) with feedforward solved from
-    the model so the reference trajectory is (approximately) invariant."""
+    the model so the reference trajectory is (approximately) invariant.  t is
+    one step, or an integer array of T steps that gives (T, n) and (T, m)
+    arrays with the bits of the one-step calls, as sim.run_closed_loop asks."""
     if spec is None or spec.get("kind", "none") == "none":
         return None
     kind = spec["kind"]
@@ -87,15 +89,15 @@ def make_reference(model: SystemModel, spec: Optional[dict], dt: float):
     if model.n != 2:
         raise ConfigError("the sinusoidal reference assumes a 2-state axis model")
 
-    def x_ref(t: int) -> np.ndarray:
+    def x_ref(t) -> np.ndarray:
         th = rate * t * dt + phase
-        return np.array([radius * np.cos(th), -radius * rate * np.sin(th)])
+        return np.stack([radius * np.cos(th), -radius * rate * np.sin(th)], axis=-1)
 
     B_pinv = np.linalg.pinv(model.B)
 
-    def ref(t: int):
+    def ref(t):
         xr = x_ref(t)
-        return xr, B_pinv @ (x_ref(t + 1) - model.A @ xr)
+        return xr, matvec_rows(B_pinv, x_ref(t + 1) - matvec_rows(model.A, xr))
 
     return ref
 

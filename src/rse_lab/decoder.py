@@ -70,10 +70,13 @@ class NoiseFeasibleSet:
         """Row-wise membership for the stacked residual rows R (W, pN), with
         Omega shrunk by the relative margin rtol; strict, so a zero-radius
         Omega holds no row."""
+        # np.linalg.norm's sum of squares without its per-call overhead; sqrt
+        # commutes with max, so the compared norms keep norm's bits
+        sq = R * R
         if self.mode == PER_STEP:
-            norms = np.linalg.norm(R.reshape(len(R), -1, N), axis=1).max(axis=1)
-            return norms < delta_w * (1.0 - rtol)
-        return np.linalg.norm(R, axis=1) < np.sqrt(N) * delta_w * (1.0 - rtol)
+            sq = np.add.reduce(sq.reshape(len(R), -1, N), axis=1).max(axis=1)
+            return np.sqrt(sq) < delta_w * (1.0 - rtol)
+        return np.sqrt(np.add.reduce(sq, axis=1)) < np.sqrt(N) * delta_w * (1.0 - rtol)
 
 
 @dataclass
@@ -159,6 +162,7 @@ class WindowDecoder:
         self.model = model
         self.omega = omega if omega is not None else NoiseFeasibleSet()
         self._ctx: dict[tuple[int, ...], _SupportContext] = {}
+        self._all_clean = SensorSet.all(model.p)
         self._support_order = None
 
     def _context(self, clean: SensorSet) -> _SupportContext:
@@ -272,22 +276,28 @@ class WindowDecoder:
         Returns the (W, n) estimates and, by row index, the DecodeResult of
         every row decoded one at a time.  Each other row was accepted on the
         empty support after one support test and no projection iterations,
-        with decode's fast-path estimate G y.  A row is accepted here only
-        when its residual lies inside Omega by a relative 1e-9, far more than
-        the rounding of the norms, so every row gets the support decode gives it.
+        with decode's fast-path estimate G y (see fast_path).
         """
         Y = np.asarray(Y, dtype=float)
         if Y.ndim != 2 or Y.shape[1] != self.model.p * self.model.N:
             raise ConfigError(f"windows must be rows of p*N={self.model.p * self.model.N} entries")
-        # with every sensor clean the context's rows are 0..pN-1 in order
-        ctx = self._context(SensorSet.all(self.model.p))
-        X = matvec_rows(ctx.G, Y)
-        R = Y - matvec_rows(ctx.O_c, X)
-        inside = self.omega.inside_rows(R, self.model.delta_w, self.model.N, 1e-9)
+        X, inside = self.fast_path(Y)
         fallback = {int(w): self.decode(Y[w]) for w in np.flatnonzero(~inside)}
         for w, res in fallback.items():
             X[w] = res.x_hat
         return X, fallback
+
+    def fast_path(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The empty support's estimates G y of the sensor-major windows Y
+        (W, p*N), and the (W,) mask of the rows accepted there: those whose
+        residual lies inside Omega by a relative 1e-9, far more than the
+        rounding of the norms, so decode would give them the empty support
+        and the same estimate."""
+        # with every sensor clean the context's rows are 0..pN-1 in order
+        ctx = self._context(self._all_clean)
+        X = matvec_rows(ctx.G, Y)
+        R = Y - matvec_rows(ctx.O_c, X)
+        return X, self.omega.inside_rows(R, self.model.delta_w, self.model.N, 1e-9)
 
 
 def feasibility_oracle(model: SystemModel, clean: SensorSet, y_window: np.ndarray,

@@ -335,13 +335,24 @@ def _windows(y_del: np.ndarray, u: np.ndarray, frk: list) -> np.ndarray:
     the same first step) subtracted per slot so the windows look autonomous."""
     N = len(frk)
     W = len(y_del) - N + 1
-    Y = np.stack([y_del[k:k + W] for k in range(N)], axis=2).reshape(W, -1)
-    for k in range(1, N):
+    Y = np.empty((W, y_del.shape[1], N))
+    for k in range(N):
         eff = 0.0
         for j in range(k):
             eff = eff + matvec_rows(frk[k][j], u[j:j + W])
-        Y[:, k::N] -= eff
-    return Y
+        Y[:, :, k] = y_del[k:k + W] - eff
+    return Y.reshape(W, -1)
+
+
+def _shaped(a, shape: tuple, what: str) -> np.ndarray:
+    """a as a new float array of the given shape; ConfigError otherwise."""
+    try:
+        out = np.array(a, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged rows or entries that are not numbers
+        raise ConfigError(f"{what} must be a float array of shape {shape}: {exc}") from exc
+    if out.shape != shape:
+        raise ConfigError(f"{what} must be a float array of shape {shape}, got {out.shape}")
+    return out
 
 
 def run_closed_loop(model: SystemModel,
@@ -351,7 +362,7 @@ def run_closed_loop(model: SystemModel,
                     attack: Optional[Callable[[int], np.ndarray]] = None,
                     policy: Optional[AuthPolicy] = None,
                     controller_gain: Optional[np.ndarray] = None,
-                    reference: Optional[Callable[[int], tuple[np.ndarray, np.ndarray]]] = None,
+                    reference: Optional[Callable[[np.ndarray], tuple]] = None,
                     x0: Optional[np.ndarray] = None) -> SimTrace:
     """Simulate `horizon` decoded steps of the closed loop.
 
@@ -364,14 +375,19 @@ def run_closed_loop(model: SystemModel,
 
     The run has three stages: generate (plant, attack, authentication),
     decode, detect.  With a nonzero controller gain each window is decoded
-    inside the generate loop, because the next input needs its estimate;
-    otherwise the inputs cannot depend on the estimates, and every window is
-    decoded afterwards in one WindowDecoder.decode_batch call.
+    inside the generate loop, because the next input needs its estimate: it
+    goes through WindowDecoder.fast_path, and through decode only when the
+    fast path rejects it.  Otherwise the inputs cannot depend on the
+    estimates, and every window is decoded afterwards in one
+    WindowDecoder.decode_batch call.
 
-    attack(t) returns the requested injection p-vector at step t.  A nonzero
-    entry on a sensor authenticated at t is a violation: it is zeroed before
-    delivery and recorded as (t, sensors) in SimTrace.violations.  A nonzero
-    entry outside the compromised set raises ConfigError.
+    attack(t) returns the requested injection p-vector at step t; reference
+    is called once, on arange(T) with T = horizon + N - 1, and returns x_ref
+    and the feedforward u_ff as (T, n) and (T, m) arrays (see
+    config.make_reference); other shapes raise ConfigError.  A nonzero
+    attack entry on a sensor authenticated at t is a violation: it is zeroed
+    before delivery and recorded as (t, sensors) in SimTrace.violations.  A
+    nonzero entry outside the compromised set raises ConfigError.
     Raises NoiseBoundViolation when the drawn noise leaves the model's
     declared per-slot window-noise bound delta_w, or when an attack-free run breaks
     its error bound; PrecisionLoss instead when there eps * max ||y_t|| >= delta_w / 100.
@@ -399,12 +415,14 @@ def run_closed_loop(model: SystemModel,
     decoder = WindowDecoder(model)
     frk = _forced_response_rows(model)
     powN1 = model.powers()[N - 1]
+    steer = [model.powers()[N - 2 - j] @ model.B for j in range(N - 1)]  # A^{N-2-j} B
 
     # attack and authentication: plans and schedules are fixed in advance, so
     # they are enforced over every step at once
     auth = pol.mask(T_meas)
-    a_applied = np.zeros((T_meas, p)) if attack is None else np.array(
-        [np.asarray(attack(t), dtype=float).ravel() for t in range(T_meas)])
+    a_applied = np.zeros((T_meas, p)) if attack is None else _shaped(
+        [np.asarray(attack(t), dtype=float).ravel() for t in range(T_meas)],
+        (T_meas, p), "attack(t) stacked over the run's steps")
     violations = _enforce(a_applied, comp, auth)
 
     x = np.zeros((T_meas + 1, n))
@@ -414,8 +432,9 @@ def run_closed_loop(model: SystemModel,
     x_ref = np.zeros((T_meas, n))
     if reference is not None:
         # feedforward; with feedback, corrected from the first complete window on
-        for t in range(T_meas):
-            x_ref[t], u_hist[t] = reference(t)
+        x_ref, u_ff = reference(np.arange(T_meas))
+        x_ref = _shaped(x_ref, (T_meas, n), "reference x_ref")
+        u_hist = _shaped(u_ff, (T_meas, m), "reference u_ff")
     drive = matvec_rows(model.B, u_hist)
     x_hat = np.zeros((horizon, n))
 
@@ -432,21 +451,28 @@ def run_closed_loop(model: SystemModel,
         totals.indeterminate += res.stats.indeterminate > 0  # windows, not verdicts
 
     # plant (and, with feedback, decode and control) step by step
+    y_del = np.empty((T_meas, p))
     xt = x[0]
     for t in range(T_meas):
         s = t - N + 1  # anchor of the newest complete window
+        if feedback:
+            y_del[t] = model.C @ xt + vM[t] + a_applied[t]
         if feedback and s >= 0:
-            y_win = matvec_rows(model.C, x[s:t + 1]) + vM[s:t + 1] + a_applied[s:t + 1]
-            res = decoder.decode(_windows(y_win, u_hist[s:t + 1], frk)[0])
-            tally(s, res)
-            x_hat[s] = res.x_hat
+            Y = _windows(y_del[s:t + 1], u_hist[s:t + 1], frk)
+            X, inside = decoder.fast_path(Y)
+            if not inside[0]:
+                res = decoder.decode(Y[0])
+                tally(s, res)
+                X[0] = res.x_hat
+            x_hat[s] = X[0]
             # x(t) = A^{N-1} x(s) + sum_{j<N-1} A^{N-2-j} B u(s+j) (+ noise)
             x_now = powN1 @ x_hat[s]
             for j in range(N - 1):
-                x_now += model.powers()[N - 2 - j] @ model.B @ u_hist[s + j]
+                x_now += steer[j] @ u_hist[s + j]
             u_hist[t] = u_hist[t] - K_gain @ (x_now - x_ref[t])
             drive[t] = model.B @ u_hist[t]
         xt = x[t + 1] = model.A @ xt + drive[t] + vP[t]
+    # the same bits as the rows the feedback branch built
     y = matvec_rows(model.C, x[:T_meas]) + vM
     y_del = y + a_applied
 

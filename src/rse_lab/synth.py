@@ -285,12 +285,17 @@ def sustained_attack(model: SystemModel, compromised: SensorSet, *,
     stacked norm ||O v|| of every injection v.  A policy authenticating
     compromised sensors turns the plan into a sawtooth that returns the
     attacker state to zero exactly at every enforcement time; growth is then
-    bounded, as the policy analysis predicts.
+    bounded, as the policy analysis predicts.  A period below 1 or a negative
+    epsilon raises ConfigError.
     """
     det = detector.upper().replace("ID_", "")
     if det not in ("I", "II", "1", "2"):
         raise ConfigError(f"unknown detector {detector!r}")
     det = "I" if det in ("I", "1") else "II"
+    if int(period) < 1:
+        raise ConfigError(f"attack period must be >= 1, got {period}")
+    if epsilon is not None and not float(epsilon) >= 0:
+        raise ConfigError(f"attack epsilon must be >= 0, got {epsilon}")
     N = model.N
     t0 = (N - 1) if start is None else int(start)
     if t0 < N - 1:
@@ -316,7 +321,7 @@ def sustained_attack(model: SystemModel, compromised: SensorSet, *,
     if noise is None:
         raise ConfigError("ramped synthesis needs the scenario noise stream")
     return _ramped_plan(model, compromised, det, horizon, noise, policy, t0,
-                        max(1, int(period)), epsilon)
+                        int(period), epsilon)
 
 
 def _roll_forward(model: SystemModel, compromised: SensorSet, inj: np.ndarray,

@@ -105,6 +105,26 @@ def test_attack_roundtrip_through_simulate(tmp_path, capsys):
     assert "alarms id1/id2:  0/0" in text
 
 
+def test_simulate_rejects_bad_attack_period_and_epsilon(tmp_path, capsys):
+    base = {
+        "system": {"A": [[1, .01], [0, 1]], "B": [[.0001], [.01]],
+                   "C": [[1, 0], [0, 1], [0, 1]], "N": 2, "delta_w": "auto"},
+        "noise": {"kind": "uniform_elementwise", "lo": -0.05, "hi": 0.05, "seed": 0},
+        "compromised": [1, 2, 3],
+        "horizon": {"steps": 300},
+        "dt": 0.01,
+    }
+    for attack, message in (({"source": "synth", "period": 0}, "period must be >= 1"),
+                            ({"source": "synth", "period": -4}, "period must be >= 1"),
+                            ({"source": "synth", "epsilon": -1.0}, "epsilon must be >= 0")):
+        with pytest.raises(r.ConfigError, match=message):
+            r.parse_config(dict(base, attack=attack)).attack_plan()
+        path = tmp_path / "bad_attack.json"
+        path.write_text(json.dumps(dict(base, attack=attack)))
+        assert run_cli(["simulate", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
+
+
 def test_decode_subcommand(tmp_path, capsys):
     win = tmp_path / "win.csv"
     win.write_text("t,y_1,y_2,y_3\n0,0.1,0.2,0.2\n1,0.101,0.2,0.2\n")

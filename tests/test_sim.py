@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import rse_lab as r
+from rse_lab.config import make_reference
 from rse_lab.decoder import WindowDecoder
+from rse_lab.sim import _forced_response_rows, _windows
 
 from conftest import random_observable_model
 
@@ -179,32 +181,36 @@ def test_attack_under_control_stays_stealthy(vtf):
 
 
 def _all_windows(tr, noise, attack):
-    """Every window of a zero-input, policy-free run, as a list of stacked
-    vectors: the trace's own windows, then the last N - 1 windows, which
-    reach past the stored horizon and are rebuilt from the noise streams with
-    a plain per-step plant loop."""
+    """Every window of a run, as rows of stacked vectors, assembled like the
+    simulator does: the trace's own rows, then the N - 1 rows past the stored
+    horizon, rebuilt from the noise streams with a plain per-step plant loop.
+    The inputs past the horizon are not stored, so the run must not need
+    them: zero inputs, or N = 2, where only u(H - 1) enters a rebuilt row."""
     m, H = tr.model, tr.horizon
+    assert m.N == 2 or not tr.u.any()
+    assert not tr.violations  # attack(t) is what was delivered
     T = H + m.N - 1
     vP, vM = noise.draw(T, m.n, m.p)
+    u = np.vstack([tr.u, np.zeros((m.N - 1, m.m))])
     x = list(tr.x)
     while len(x) < T:
-        x.append(m.A @ x[-1] + m.B @ np.zeros(m.m) + vP[len(x) - 1])
+        x.append(m.A @ x[-1] + m.B @ u[len(x) - 1] + vP[len(x) - 1])
     y_del = np.array([m.C @ x[t] + vM[t] + (0.0 if attack is None else attack(t))
                       for t in range(T)])
     assert np.array_equal(y_del[:H], tr.y_delivered)  # same bits as the plant loop
-    windows = [tr.window(s).y_stacked for s in range(H - m.N + 1)]
-    return windows + [y_del[s:s + m.N].T.ravel() for s in range(H - m.N + 1, H)]
+    return _windows(y_del, u, _forced_response_rows(m))
 
 
 def _assert_matches_per_window(tr, noise, attack=None):
-    """The batched run agrees with decoding every window one at a time."""
+    """The run (batched, or the feedback loop's inline fast path) agrees bit
+    for bit with decoding every window one at a time."""
     dec = WindowDecoder(tr.model)
     results = [dec.decode(w) for w in _all_windows(tr, noise, attack)]
+    assert np.array_equal(tr.x_hat, np.array([res.x_hat for res in results]))
     prev = None
     for s, res in enumerate(results):
-        np.testing.assert_allclose(tr.x_hat[s], res.x_hat, rtol=1e-12, atol=1e-12)
         assert tr.supports[s] == res.support
-        v = r.id2(res, prev, tr.model)
+        v = r.id2(res, prev, tr.model, known_input=tr.u[s - 1] if s else None)
         assert (tr.alarm_id1[s], tr.alarm_id2[s]) == (v.id1_alarm, v.id2_alarm)
         assert (tr.innovation[s] > tr.threshold_d) == (v.id2_innovation > v.threshold_d)
         prev = res
@@ -280,3 +286,109 @@ def test_indeterminate_counts_windows(vtf, monkeypatch):
     # windows accepted on the batched fast path carry no verdict to count
     tr = r.run_closed_loop(vtf, 40, noise, compromised=r.SensorSet.all(3))
     assert tr.indeterminate == 0
+
+
+def _assert_control_law(tr, ref, gain):
+    """Each input after the warm-up is the feedforward corrected by the gain
+    times the error of the newest window's estimate, propagated to now with
+    the known inputs: x(t) = A^{N-1} x_hat(s) + sum_j A^{N-2-j} B u(s+j)."""
+    m = tr.model
+    x_ref, u_ff = ref(np.arange(tr.horizon))
+    for t in range(m.N - 1, tr.horizon):
+        s = t - m.N + 1
+        x_now = m.powers()[m.N - 1] @ tr.x_hat[s]
+        for j in range(m.N - 1):
+            x_now += m.powers()[m.N - 2 - j] @ m.B @ tr.u[s + j]
+        assert np.array_equal(tr.u[t], u_ff[t] - gain @ (x_now - x_ref[t]))
+
+
+def test_feedback_run_matches_per_window_decoding(vtf, monkeypatch):
+    # the feedback loop tests each window on the decoder's fast path inline and
+    # decodes only the windows that fail; every window must still get decode's
+    # estimate, support and counters
+    K = r.SensorSet.all(3)
+    gain = np.array([[500.0, 40.0]])
+    ref = make_reference(vtf, {"kind": "circle", "radius": 10.0, "angular_rate": 0.1}, 0.01)
+    x0 = np.array([10.0, 0.0])
+
+    # fig3: the stealthy ramp from t = 1000, without and with authentication of {1, 2}
+    noise = r.NoiseSpec(kind="uniform_elementwise", lo=-.05, hi=.05, seed=7)
+    errors = []
+    for pol in (None, r.AuthPolicy.periodic([1, 2], 10, 3)):
+        plan = r.sustained_attack(vtf, K, detector="II", horizon=3000, noise=noise,
+                                  policy=pol, start=1000)
+        tr = r.run_closed_loop(vtf, 3000, noise, compromised=K, attack=plan.as_callable(),
+                               policy=pol, controller_gain=gain, reference=ref, x0=x0)
+        _assert_matches_per_window(tr, noise, plan.as_callable())
+        _assert_control_law(tr, ref, gain)
+        assert tr.alarm_counts() == (0, 0)
+        errors.append(tr.max_error())
+    assert errors[0] > 10 * errors[1]
+
+    # a large constant injection on sensor 3 from t = 100 on: from the window
+    # anchored at 99 on, every window fails the fast path and decodes {3}
+    decoded = []
+    decode = WindowDecoder.decode
+
+    def counting(self, y):
+        decoded.append(1)
+        return decode(self, y)
+
+    monkeypatch.setattr(WindowDecoder, "decode", counting)
+    noise = r.NoiseSpec(kind="uniform_elementwise", lo=-.05, hi=.05, seed=4)
+    attack = lambda t: np.array([0.0, 0.0, 50.0 if t >= 100 else 0.0])
+    tr = r.run_closed_loop(vtf, 400, noise, compromised=K, attack=attack,
+                           controller_gain=gain, reference=ref, x0=x0)
+    assert len(decoded) == 301  # decode runs for the fallback windows only
+    monkeypatch.undo()
+    _assert_matches_per_window(tr, noise, attack)
+    _assert_control_law(tr, ref, gain)
+    assert [s.indices for s in tr.supports] == [()] * 99 + [(3,)] * 301
+    assert int(tr.alarm_id1.sum()) == 301
+
+
+def test_misshaped_attack_or_reference_raises_config_error(vtf):
+    K = r.SensorSet.all(3)
+    gain = np.array([[500.0, 40.0]])
+    ref = make_reference(vtf, {"kind": "circle", "radius": 10.0, "angular_rate": 0.1}, 0.01)
+    # 10 decoded steps run 11 measurement steps on the VTF model (N = 2, p = 3)
+    for attack in (lambda t: np.zeros(4), lambda t: np.zeros(2),
+                   lambda t: np.zeros(3 if t else 4)):
+        with pytest.raises(r.ConfigError, match=r"attack.*shape \(11, 3\)"):
+            r.run_closed_loop(vtf, 10, r.NoiseSpec.zero(), compromised=K, attack=attack)
+    wide_x = lambda ts: (np.concatenate([ref(ts)[0], ref(ts)[0][..., :1]], axis=-1),
+                         ref(ts)[1])
+    with pytest.raises(r.ConfigError, match=r"x_ref.*shape \(11, 2\)"):
+        r.run_closed_loop(vtf, 10, r.NoiseSpec.zero(), controller_gain=gain, reference=wide_x)
+    one_step = lambda t: (np.zeros(2), np.zeros(1))  # ignores the array of steps
+    with pytest.raises(r.ConfigError, match=r"x_ref.*shape \(11, 2\)"):
+        r.run_closed_loop(vtf, 10, r.NoiseSpec.zero(), reference=one_step)
+    two_inputs = lambda ts: (ref(ts)[0], np.zeros((len(ts), 2)))
+    with pytest.raises(r.ConfigError, match=r"u_ff.*shape \(11, 1\)"):
+        r.run_closed_loop(vtf, 10, r.NoiseSpec.zero(), reference=two_inputs)
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "circle", "radius": 10.0, "angular_rate": 0.1},
+    {"kind": "circle", "radius": 10.0, "angular_rate": 0.1, "phase": -np.pi / 2},
+    {"kind": "sine", "radius": 3.0, "angular_rate": 0.7, "phase": 0.4},
+], ids=["circle", "circle_phase", "sine"])
+def test_reference_array_matches_per_step_calls(vtf, spec):
+    T, dt = 700, 0.01
+    ref = make_reference(vtf, spec, dt)
+    x_ref, u_ff = ref(np.arange(T))
+    steps = [ref(t) for t in range(T)]
+    assert x_ref.shape == (T, 2) and u_ff.shape == (T, 1)
+    assert np.array_equal(x_ref, np.array([xr for xr, _ in steps]))
+    assert np.array_equal(u_ff, np.array([uf for _, uf in steps]))
+    # one step still gives the vectors of the closed-form reference
+    radius, rate, phase = spec["radius"], spec["angular_rate"], spec.get("phase", 0.0)
+
+    def x_at(t):
+        th = rate * t * dt + phase
+        return np.array([radius * np.cos(th), -radius * rate * np.sin(th)])
+
+    B_pinv = np.linalg.pinv(vtf.B)
+    for t, (xr, uf) in enumerate(steps):
+        assert np.array_equal(xr, x_at(t))
+        assert np.array_equal(uf, B_pinv @ (x_at(t + 1) - vtf.A @ x_at(t)))

@@ -42,3 +42,19 @@ def test_library_modules_use_every_import():
     found = {path.name: unused for path in modules
              if (unused := _unused_imports(ast.parse(path.read_text(), filename=str(path))))}
     assert not found, f"unused imports in the library: {found}"
+
+
+def test_closed_loop_step_loop_builds_no_per_run_operators():
+    # pseudoinverses, least-squares solves and the powers of A are fixed for a
+    # run: run_closed_loop builds them once, never in its per-step loop
+    tree = ast.parse((SRC / "sim.py").read_text())
+    (fn,) = [n for n in ast.walk(tree)
+             if isinstance(n, ast.FunctionDef) and n.name == "run_closed_loop"]
+    loops = [n for n in ast.walk(fn)
+             if isinstance(n, ast.For) and ast.unparse(n.iter) == "range(T_meas)"]
+    assert len(loops) == 1
+    banned = {"lstsq", "pinv", "powers"}
+    found = [f"{ast.unparse(n.func)} (line {n.lineno})" for n in ast.walk(loops[0])
+             if isinstance(n, ast.Call)
+             and getattr(n.func, "attr", getattr(n.func, "id", None)) in banned]
+    assert not found, f"per-run operators built in the step loop: {found}"

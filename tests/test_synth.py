@@ -147,6 +147,25 @@ def test_sustained_refuses_detector2_on_stable(stable_two_state):
                            horizon=100, noise=r.NoiseSpec.zero())
 
 
+def test_sustained_rejects_bad_period_and_epsilon(vtf, stable_two_state):
+    # a period below 1 once built the period-1 ramp, and a negative epsilon
+    # refused with a message that blamed the noise slack
+    K = r.SensorSet.all(3)
+    noise = r.NoiseSpec(kind="uniform_elementwise", lo=-.05, hi=.05, seed=2)
+    for period in (0, -4):
+        with pytest.raises(r.ConfigError, match="period must be >= 1"):
+            r.sustained_attack(vtf, K, detector="II", horizon=300, noise=noise,
+                               period=period)
+    for eps in (-1.0, float("nan")):
+        with pytest.raises(r.ConfigError, match="epsilon must be >= 0"):
+            r.sustained_attack(vtf, K, detector="II", horizon=300, noise=noise,
+                               epsilon=eps)
+    # the cold start reads epsilon as an injection norm
+    with pytest.raises(r.ConfigError, match="epsilon must be >= 0"):
+        r.sustained_attack(stable_two_state, r.SensorSet.all(1), detector="I",
+                           horizon=300, epsilon=-5.0)
+
+
 def test_cold_start_construction(stable_two_state):
     K = r.SensorSet.all(1)
     plan = r.sustained_attack(stable_two_state, K, detector="I", horizon=300,
