@@ -6,7 +6,6 @@ policy evaluation."""
 from .model import (
     ConfigError,
     SensorSet,
-    StackedWindow,
     SystemModel,
     build_auth_O,
     build_overlap_stack,
@@ -26,7 +25,6 @@ from .decoder import (
     WindowDecoder,
     decode,
     detector_threshold,
-    feasibility_oracle,
     innovation_bound,
 )
 from .detectors import AlarmVerdict, id1, id2, innovation_check
@@ -49,7 +47,6 @@ from .sim import (
     SimTrace,
     apply_attack,
     run_closed_loop,
-    step,
 )
 from .synth import (
     AttackPlan,

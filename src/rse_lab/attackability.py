@@ -11,6 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import (
+    RANK_TOL,
     ConfigError,
     SensorSet,
     SystemModel,
@@ -51,16 +52,16 @@ def pa_single_step(model: SystemModel, compromised: SensorSet):
     """Single-window attackability: true iff the clean sensors' observation
     stack loses column rank; the witness is a unit null vector."""
     O_clean = build_O(model, compromised.complement())
-    rank, _ = rank_margin(O_clean, model.rank_tol)
+    rank, _ = rank_margin(O_clean)
     if rank >= model.n:
         return False, None
-    basis = null_basis(O_clean, model.rank_tol)
+    basis = null_basis(O_clean)
     z = np.real(basis[:, 0])
     z = z / np.linalg.norm(z)
     scale = max(1.0, float(np.linalg.norm(O_clean, 2))) if O_clean.size else 1.0
-    if not _verify_null(O_clean, z, 10 * model.rank_tol * scale):
-        raise ConfigError(f"single-step witness fails re-verification at rank_tol="
-                          f"{model.rank_tol:g}; the rank verdict is numerically unreliable")
+    if not _verify_null(O_clean, z, 10 * RANK_TOL * scale):
+        raise ConfigError(f"single-step witness fails re-verification at RANK_TOL="
+                          f"{RANK_TOL:g}; the rank verdict is numerically unreliable")
     return True, z
 
 
@@ -105,13 +106,13 @@ def pa_over_time_id1(model: SystemModel, compromised: SensorSet) -> PaVerdict:
     an unstable eigenvector inside the clean sensors' null space.
     """
     F = build_overlap_stack(model, compromised)
-    rank_F, margin_F = rank_margin(F, model.rank_tol)
+    rank_F, margin_F = rank_margin(F)
     single, z = pa_single_step(model, compromised)
     margins = {"rank_overlap": rank_F, "margin_overlap": margin_F}
     if rank_F < model.n:
         w = None
         if single:
-            basis = null_basis(F, model.rank_tol)
+            basis = null_basis(F)
             w = np.real(basis[:, 0])
             w /= np.linalg.norm(w)
         return PaVerdict(single, BRANCH_RANK_DEFICIENT_OVERLAP, w,
@@ -128,7 +129,7 @@ def pa_over_time_id2(model: SystemModel, compromised: SensorSet) -> PaVerdict:
     single-window attackability, an unstable mode, and an unstable
     eigenvector hidden from the clean sensors, all three at once."""
     single, _ = pa_single_step(model, compromised)
-    unstable = unstable_eigenstructure(model.A, model.stability_margin, model.rank_tol)
+    unstable = unstable_eigenstructure(model.A)
     hit = unstable_null_intersection(model, compromised)
     ok = single and bool(unstable) and hit is not None
     notes = []
@@ -148,7 +149,7 @@ def auth_blocks_single_step(model: SystemModel, compromised: SensorSet,
     of the (clean + authenticated) observation stack, blocking the single-window
     perfect attack."""
     M = build_auth_O(model, compromised, list(auth_sets))
-    rank, _ = rank_margin(M, model.rank_tol)
+    rank, _ = rank_margin(M)
     return rank >= model.n
 
 
@@ -196,14 +197,14 @@ def policy_prevents_pa(model: SystemModel, compromised: SensorSet, policy,
         return PolicyVerdict(False, "policy is not periodic with a common bounded "
                                     "period on the authenticated subset", checks)
     obs_F = classical_obs_stack(model, auth_subset)
-    rank_obs, margin_obs = rank_margin(obs_F, model.rank_tol)
+    rank_obs, margin_obs = rank_margin(obs_F)
     checks["obs_F_rank"] = rank_obs
     checks["obs_F_margin"] = margin_obs
     if rank_obs < model.n:
         return PolicyVerdict(False, "(A, P_F C) unobservable", checks)
 
     key = _decimated_stack(model, auth_subset, period)
-    rank_key, margin_key = rank_margin(key, model.rank_tol)
+    rank_key, margin_key = rank_margin(key)
     checks["key_rank"] = rank_key
     checks["key_margin"] = margin_key
     key_ok = rank_key >= model.n
@@ -218,7 +219,7 @@ def policy_prevents_pa(model: SystemModel, compromised: SensorSet, policy,
         return PolicyVerdict(False, "decimated stack rank deficient for this period", checks)
 
     F_all = build_overlap_stack(model, SensorSet.all(model.p))
-    rank_FS, margin_FS = rank_margin(F_all, model.rank_tol)
+    rank_FS, margin_FS = rank_margin(F_all)
     checks["rank_overlap_all"] = rank_FS
     checks["margin_overlap_all"] = margin_FS
     if rank_FS >= model.n:
@@ -238,7 +239,7 @@ def analyze(model: SystemModel, compromised: SensorSet) -> dict:
     v1 = pa_over_time_id1(model, compromised)
     v2 = pa_over_time_id2(model, compromised)
     O_clean = build_O(model, compromised.complement())
-    _, margin_single = rank_margin(O_clean, model.rank_tol)
+    _, margin_single = rank_margin(O_clean)
     return {
         "compromised": list(compromised.indices),
         "pa_single_step": {"attackable": single,

@@ -26,10 +26,10 @@ from .config import (
     vtf_scenario,
 )
 from .decoder import decode as decode_window
-from .model import ConfigError
+from .model import RANK_TOL, ConfigError
 from .synth import NotPerfectlyAttackable
 
-MARGIN_BAND = 10.0  # rank margins below MARGIN_BAND * rank_tol are "indeterminate"
+MARGIN_BAND = 10.0  # rank margins below MARGIN_BAND * RANK_TOL are "indeterminate"
 
 
 def _load_scenario(args) -> ScenarioConfig:
@@ -58,7 +58,7 @@ def cmd_analyze(args) -> int:
             fh.write(text + "\n")
     margins = [report["pa_single_step"]["margin"],
                report["pa_over_time_id1"]["margins"].get("margin_overlap", 1.0)]
-    if any(m is not None and m < MARGIN_BAND * cfg.model.rank_tol for m in margins):
+    if any(m is not None and m < MARGIN_BAND * RANK_TOL for m in margins):
         return 3
     pa = report["pa_over_time_id2"]["attackable"] if cfg.detector.upper() == "II" \
         else report["pa_over_time_id1"]["attackable"]

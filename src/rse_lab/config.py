@@ -9,7 +9,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import ConfigError, SensorSet, SystemModel, matvec_rows, suggest_delta_w
+from .model import ConfigError, SensorSet, SystemModel, as_int, matvec_rows, suggest_delta_w
 from .sim import AuthPolicy, NoiseSpec, SimTrace, run_closed_loop
 from .synth import AttackPlan, sustained_attack
 
@@ -20,6 +20,17 @@ SEED_ENV = "RSE_LAB_SEED"
 ATTACK_KEYS = {"none": {"source"},
                "synth": {"source", "start", "period", "epsilon"},
                "file": {"source", "path"}}
+SECTION_KEYS = {
+    "top level": {"system", "noise", "compromised", "detector", "attack", "auth",
+                  "horizon", "dt", "controller", "output"},
+    "system": {"A", "B", "C", "N", "delta_w"},
+    "noise": {"kind", "lo", "hi", "radius_p", "radius_m", "seed"},
+    "auth": {"sensors", "period", "phase"},
+    "horizon": {"steps", "seconds"},
+    "controller": {"gain", "reference"},
+    "controller.reference": {"kind", "radius", "angular_rate", "phase"},
+    "output": {"trace_csv"},
+}
 
 
 @dataclass
@@ -56,7 +67,7 @@ class ScenarioConfig:
             policy=self.policy,
             start=self.attack.get("start"),
             epsilon=self.attack.get("epsilon"),
-            period=int(self.attack.get("period", 1)),
+            period=self.attack.get("period", 1),
         )
 
     def run(self, x0: Optional[np.ndarray] = None) -> tuple[SimTrace, Optional[AttackPlan]]:
@@ -126,19 +137,32 @@ def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
         raise ConfigError(f"malformed configuration: {exc}") from exc
 
 
+def _section(section, where: str, allowed=None) -> dict:
+    """The config section, refused unless it is an object with known keys only."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"malformed configuration: {where} must be an object, "
+                          f"got {section!r}")
+    allowed = SECTION_KEYS[where] if allowed is None else allowed
+    unknown = sorted(set(section) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown} in {where}; allowed: {sorted(allowed)}")
+    return section
+
+
 def _parse_config(doc: dict, name: str) -> ScenarioConfig:
-    sysd = doc["system"]
-    noised = doc.get("noise", {"kind": "zero"})
+    _section(doc, "top level")
+    sysd = _section(doc["system"], "system")
+    noised = _section(doc.get("noise", {"kind": "zero"}), "noise")
     noise = NoiseSpec(kind=noised.get("kind", "uniform_elementwise"),
                       lo=float(noised.get("lo", -0.05)), hi=float(noised.get("hi", 0.05)),
                       radius_p=float(noised.get("radius_p", 0.0)),
                       radius_m=float(noised.get("radius_m", 0.0)),
-                      seed=_seed_override(int(noised.get("seed", 0))))
+                      seed=_seed_override(as_int(noised.get("seed", 0), "noise.seed")))
 
     A = np.array(sysd["A"], dtype=float)
     C = np.array(sysd["C"], dtype=float)
     B = np.array(sysd["B"], dtype=float) if "B" in sysd else None
-    N = int(sysd["N"])
+    N = as_int(sysd["N"], "system.N")
     p, n = C.shape if C.ndim == 2 else (1, C.size)
     dvp = noise.delta_vp(n)
     dvm = noise.delta_vm(p)
@@ -146,8 +170,6 @@ def _parse_config(doc: dict, name: str) -> ScenarioConfig:
     if delta_w == "auto":
         delta_w = suggest_delta_w(A, C, N, dvp, dvm)
     model = SystemModel(A=A, B=B, C=C, delta_w=float(delta_w), N=N,
-                        rank_tol=float(sysd.get("rank_tol", 1e-9)),
-                        stability_margin=float(sysd.get("stability_margin", 1e-9)),
                         delta_vp=dvp if noise.kind != "zero" else None,
                         delta_vm=dvm if noise.kind != "zero" else None)
 
@@ -156,38 +178,41 @@ def _parse_config(doc: dict, name: str) -> ScenarioConfig:
     authd = doc.get("auth")
     policy = None
     if authd:
-        policy = AuthPolicy.periodic(authd["sensors"], int(authd["period"]),
-                                     model.p, int(authd.get("phase", 0)))
+        _section(authd, "auth")
+        policy = AuthPolicy.periodic(authd["sensors"], authd["period"],
+                                     model.p, authd.get("phase", 0))
 
     dt = float(doc.get("dt", 1.0))
-    hord = doc.get("horizon", {"steps": 1000})
+    hord = _section(doc.get("horizon", {"steps": 1000}), "horizon")
     if "steps" in hord:
-        horizon = int(hord["steps"])
+        horizon = as_int(hord["steps"], "horizon.steps")
     elif "seconds" in hord:
         horizon = int(round(float(hord["seconds"]) / dt))
     else:
         raise ConfigError("horizon needs 'steps' or 'seconds'")
 
-    ctrl = doc.get("controller", {})
+    ctrl = _section(doc.get("controller", {}), "controller")
     gain = np.array(ctrl["gain"], dtype=float) if "gain" in ctrl else None
     reference = ctrl.get("reference")
+    if reference is not None:
+        _section(reference, "controller.reference")
 
     attack = doc.get("attack", {"source": "none"})
-    allowed = ATTACK_KEYS.get(attack.get("source", "none"))
-    if allowed is None:
-        raise ConfigError(f"unknown attack source {attack.get('source')!r}")
-    unknown = sorted(set(attack) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys {unknown} for attack source "
-                          f"{attack.get('source', 'none')!r}; allowed: {sorted(allowed)}")
-    if attack.get("source") == "file" and not os.path.exists(attack.get("path", "")):
+    source = attack.get("source", "none")
+    if source not in ATTACK_KEYS:
+        raise ConfigError(f"unknown attack source {source!r}")
+    _section(attack, f"attack source {source!r}", ATTACK_KEYS[source])
+    for key in ("start", "period"):
+        if key in attack:
+            as_int(attack[key], f"attack.{key}")
+    if source == "file" and not os.path.exists(attack.get("path", "")):
         raise ConfigError(f"attack file not found: {attack.get('path')!r}")
 
     return ScenarioConfig(model=model, noise=noise, compromised=comp,
                           detector=str(doc.get("detector", "II")),
                           attack=attack, policy=policy, horizon=horizon, dt=dt,
                           controller_gain=gain, reference=reference,
-                          outputs=doc.get("output", {}), name=name)
+                          outputs=_section(doc.get("output", {}), "output"), name=name)
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -3,8 +3,8 @@
 The decoder searches candidate attacked-sensor supports by increasing
 cardinality (lexicographic within a cardinality) and accepts the first support
 whose complement admits a state plus a feasible noise explanation.  Omega is
-a product of balls: the N window slots of radius delta_w (per-step ball), or
-one of radius sqrt(N) delta_w (stacked ball).  Feasibility is decided by
+the product of the N window slots' balls of radius delta_w: each slot's
+cross-sensor noise vector has 2-norm <= delta_w.  Feasibility is decided by
 dual-weighted least squares; each verdict carries a witness or a certificate.
 
 decode handles one window.  decode_batch takes a whole stack of windows: all
@@ -29,42 +29,28 @@ __all__ = [
     "FeasibilityResult",
     "DecodeStats",
     "WindowDecoder",
-    "feasibility_oracle",
     "decode",
     "innovation_bound",
     "detector_threshold",
 ]
 
-PER_STEP = "per_step_ball"
-STACKED = "stacked_ball"
 SUPPORT_CAP = 20  # support enumeration is O(2^p); larger sensor counts are refused
 MAX_ROUNDS = 500  # feasibility rounds before a verdict is called indeterminate
 
 
 @dataclass(frozen=True)
 class NoiseFeasibleSet:
-    """Feasible noise set Omega for the decoder.
-
-    per_step_ball: every window slot's cross-sensor noise vector has 2-norm
-    <= delta_w.  stacked_ball: the whole stacked vector has 2-norm
-    <= sqrt(N) * delta_w.
-    """
+    """Feasible noise set Omega for the decoder: every window slot's
+    cross-sensor noise vector has 2-norm <= delta_w."""
 
     eps_feas: ClassVar[float] = 1e-8  # decision tolerance on the min-max residual norm
-    mode: str = PER_STEP
-
-    def __post_init__(self):
-        if self.mode not in (PER_STEP, STACKED):
-            raise ConfigError(f"unknown noise-set mode {self.mode!r}")
 
     def contains(self, r: np.ndarray, delta_w: float, N: int) -> bool:
         """Whether the sensor-major stacked residual r lies in Omega."""
-        if self.mode == PER_STEP:
-            for k in range(N):
-                if np.linalg.norm(r[k::N]) > delta_w:
-                    return False
-            return True
-        return np.linalg.norm(r) <= np.sqrt(N) * delta_w
+        for k in range(N):
+            if np.linalg.norm(r[k::N]) > delta_w:
+                return False
+        return True
 
     def inside_rows(self, R: np.ndarray, delta_w: float, N: int, rtol: float) -> np.ndarray:
         """Row-wise membership for the stacked residual rows R (W, pN), with
@@ -72,11 +58,8 @@ class NoiseFeasibleSet:
         Omega holds no row."""
         # np.linalg.norm's sum of squares without its per-call overhead; sqrt
         # commutes with max, so the compared norms keep norm's bits
-        sq = R * R
-        if self.mode == PER_STEP:
-            sq = np.add.reduce(sq.reshape(len(R), -1, N), axis=1).max(axis=1)
-            return np.sqrt(sq) < delta_w * (1.0 - rtol)
-        return np.sqrt(np.add.reduce(sq, axis=1)) < np.sqrt(N) * delta_w * (1.0 - rtol)
+        sq = np.add.reduce((R * R).reshape(len(R), -1, N), axis=1).max(axis=1)
+        return np.sqrt(sq) < delta_w * (1.0 - rtol)
 
 
 @dataclass
@@ -90,11 +73,11 @@ class DecodeStats:
 class FeasibilityResult:
     """Verdict on one clean set.  feasible: y_c = O_c x_hat + w_hat with w_hat
     in Omega, or, when gap > 0, a tie with w_hat gap <= eps_feas outside it.
-    infeasible: weights (one per ball, summing to 1) with weighted least-squares
-    value g > (radius + eps_feas)^2, and gap = sqrt(g) - radius; after a quick
-    reject (iterations == 0) weights are None and uniform weights certify, so
-    gap = ||r_ls|| / sqrt(N) - delta_w per step and ||r_ls|| - sqrt(N) delta_w
-    stacked.  indeterminate: no verdict in MAX_ROUNDS rounds."""
+    infeasible: weights (one per window slot, summing to 1) with weighted
+    least-squares value g > (delta_w + eps_feas)^2, and gap = sqrt(g) - delta_w;
+    after a quick reject (iterations == 0) weights are None and uniform weights
+    certify, so gap = ||r_ls|| / sqrt(N) - delta_w.  indeterminate: no verdict
+    in MAX_ROUNDS rounds."""
 
     status: str  # "feasible" | "infeasible" | "indeterminate"
     x_hat: Optional[np.ndarray] = None
@@ -118,9 +101,6 @@ class DecodeResult:
     support: SensorSet
     feasible: bool
     stats: DecodeStats = field(default_factory=DecodeStats, compare=False)
-
-    def error_against(self, true_state: np.ndarray) -> float:
-        return float(np.linalg.norm(self.x_hat - np.asarray(true_state, dtype=float)))
 
     def attack_norm(self) -> float:
         return float(np.linalg.norm(self.a_hat))
@@ -153,14 +133,14 @@ class _SupportContext:
 
 
 class WindowDecoder:
-    """Reusable decoder for one (model, Omega) pair; caches per-support operators."""
+    """Reusable decoder for one model; caches per-support operators."""
 
-    def __init__(self, model: SystemModel, omega: Optional[NoiseFeasibleSet] = None):
+    def __init__(self, model: SystemModel):
         if model.p > SUPPORT_CAP:
             raise ConfigError(
                 f"support enumeration is O(2^p); p={model.p} exceeds cap {SUPPORT_CAP}")
         self.model = model
-        self.omega = omega if omega is not None else NoiseFeasibleSet()
+        self.omega = NoiseFeasibleSet()
         self._ctx: dict[tuple[int, ...], _SupportContext] = {}
         self._all_clean = SensorSet.all(model.p)
         self._support_order = None
@@ -194,38 +174,35 @@ class WindowDecoder:
         if omega.contains(r, dw, N):
             return FeasibilityResult("feasible", x0, r, 0.0, 0)
 
-        # quick reject: even the closest affine point cannot reach Omega
-        # (the per-step ball product also lives inside the sqrt(N) dw ball)
+        # quick reject: even the closest affine point cannot reach Omega, which
+        # lives inside the sqrt(N) dw ball
         r_ls = y_c - ctx.O_c @ (ctx.pinv @ y_c)
         sqrt_N = np.sqrt(N)
-        max_norm = sqrt_N * dw
         rho = float(np.linalg.norm(r_ls))
-        if rho > max_norm + max(10 * omega.eps_feas, 1e-12):
-            # uniform weights certify it: sqrt(g) = ||r_ls|| / sqrt(N) per step
-            gap = rho / sqrt_N - dw if omega.mode == PER_STEP else rho - max_norm
-            return FeasibilityResult("infeasible", None, None, gap, 0)
+        if rho > sqrt_N * dw + max(10 * omega.eps_feas, 1e-12):
+            # uniform weights certify it: sqrt(g) = ||r_ls|| / sqrt(N)
+            return FeasibilityResult("infeasible", None, None, rho / sqrt_N - dw, 0)
 
-        # dual-weighted least squares (Lawson): for group weights lam in the
+        # dual-weighted least squares (Lawson): for slot weights lam in the
         # simplex, g = min_x sum_k lam_k f_k(x) <= (min_x max_k ||r_k(x)||)^2,
-        # so g above the squared radius certifies infeasibility
-        groups, radius = (N, dw) if omega.mode == PER_STEP else (1, max_norm)
-        lam = np.full(groups, 1.0 / groups)
+        # so g above dw^2 certifies infeasibility
+        lam = np.full(N, 1.0 / N)
         x_hat, r = ctx.pinv @ y_c, r_ls
         status, gap, eps = "indeterminate", 0.0, omega.eps_feas
         for it in range(1, MAX_ROUNDS + 1):
-            f = (r.reshape(-1, groups) ** 2).sum(axis=0)
+            f = (r.reshape(-1, N) ** 2).sum(axis=0)
             g, top = float(lam @ f), np.sqrt(f.max())
             if omega.contains(r, dw, N):
                 status = "feasible"
-            elif g > (radius + eps) ** 2:
-                status, gap = "infeasible", np.sqrt(g) - radius
-            elif top <= radius + eps and top - np.sqrt(g) <= eps:
-                # tie: the min-max norm lies in [sqrt(g), top], within eps of radius
-                status, gap = "feasible", top - radius
+            elif g > (dw + eps) ** 2:
+                status, gap = "infeasible", np.sqrt(g) - dw
+            elif top <= dw + eps and top - np.sqrt(g) <= eps:
+                # tie: the min-max norm lies in [sqrt(g), top], within eps of dw
+                status, gap = "feasible", top - dw
             if status != "indeterminate" or it == MAX_ROUNDS:
                 break
             lam = 0.5 * (lam + lam * f / g)  # averaged: plain lam f / g can oscillate
-            sw = np.tile(np.sqrt(lam), len(r) // groups)
+            sw = np.tile(np.sqrt(lam), len(r) // N)
             x_hat = np.linalg.lstsq(ctx.O_c * sw[:, None], y_c * sw, rcond=None)[0]
             r = y_c - ctx.O_c @ x_hat
         if stats is not None:
@@ -300,16 +277,9 @@ class WindowDecoder:
         return X, self.omega.inside_rows(R, self.model.delta_w, self.model.N, 1e-9)
 
 
-def feasibility_oracle(model: SystemModel, clean: SensorSet, y_window: np.ndarray,
-                       omega: Optional[NoiseFeasibleSet] = None) -> FeasibilityResult:
-    """One-shot feasibility check for a candidate clean sensor set."""
-    return WindowDecoder(model, omega).feasibility(clean, np.asarray(y_window, dtype=float).ravel())
-
-
-def decode(model: SystemModel, y_window: np.ndarray,
-           omega: Optional[NoiseFeasibleSet] = None) -> DecodeResult:
+def decode(model: SystemModel, y_window: np.ndarray) -> DecodeResult:
     """One-shot minimum-support decode of a stacked window."""
-    return WindowDecoder(model, omega).decode(y_window)
+    return WindowDecoder(model).decode(y_window)
 
 
 def innovation_bound(model: SystemModel) -> float:

@@ -23,7 +23,8 @@ __all__ = [
     "ConfigError",
     "SensorSet",
     "SystemModel",
-    "StackedWindow",
+    "RANK_TOL",
+    "STABILITY_MARGIN",
     "build_O",
     "build_overlap_stack",
     "build_auth_O",
@@ -40,8 +41,8 @@ __all__ = [
     "stacked_noise_gram",
 ]
 
-DEFAULT_RANK_TOL = 1e-9
-DEFAULT_STABILITY_MARGIN = 1e-9
+RANK_TOL = 1e-9  # singular values above RANK_TOL * max(1, sigma_max) count toward rank
+STABILITY_MARGIN = 1e-9  # eigenvalues with |lambda| >= 1 - STABILITY_MARGIN count as unstable
 
 
 class ConfigError(ValueError):
@@ -100,8 +101,21 @@ class SensorSet:
         return "{" + ",".join(map(str, self.indices)) + "}"
 
 
+def as_int(value, what: str) -> int:
+    """value as an int; ConfigError unless it is an integral number."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from exc
+    if out != value:
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return out
+
+
 def _as_matrix(M, rows=None, cols=None, name="matrix") -> np.ndarray:
     M = np.atleast_2d(np.asarray(M, dtype=float))
+    if not np.isfinite(M).all():
+        raise ConfigError(f"{name} has non-finite entries")
     if rows is not None and M.shape[0] != rows:
         raise ConfigError(f"{name} must have {rows} rows, got {M.shape[0]}")
     if cols is not None and M.shape[1] != cols:
@@ -123,40 +137,33 @@ def singular_values(M: np.ndarray) -> np.ndarray:
     return np.linalg.svd(M, compute_uv=False)
 
 
-def rank_with_tol(M: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Numerical rank: number of singular values above rank_tol * max(1, sigma_max).
-
-    The max(1, .) guard keeps the threshold meaningful for near-zero matrices.
-    """
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
-    s = singular_values(M)
-    if s.size == 0:
-        return 0
-    thresh = rank_tol * max(1.0, float(s[0]))
-    return int(np.sum(s > thresh))
+def rank_with_tol(M: np.ndarray) -> int:
+    """Numerical rank: number of singular values above RANK_TOL * max(1, sigma_max)."""
+    return rank_margin(M)[0]
 
 
-def rank_margin(M: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[int, float]:
-    """Rank plus the normalized distance of the closest singular value to the
-    decision threshold.  A small margin flags a borderline rank verdict."""
+def rank_margin(M: np.ndarray) -> tuple[int, float]:
+    """Numerical rank plus the normalized distance of the closest singular
+    value to the decision threshold RANK_TOL * max(1, sigma_max).  A small
+    margin flags a borderline rank verdict; the max(1, .) guard keeps the
+    threshold meaningful for near-zero matrices."""
     s = singular_values(M)
     if s.size == 0:
         return 0, float("inf")
-    thresh = rank_tol * max(1.0, float(s[0]))
+    thresh = RANK_TOL * max(1.0, float(s[0]))
     rank = int(np.sum(s > thresh))
     margin = float(np.min(np.abs(s - thresh)) / max(1.0, float(s[0])))
     return rank, margin
 
 
-def null_basis(M: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def null_basis(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical null space of M."""
     M = np.atleast_2d(np.asarray(M))
     n = M.shape[1]
     if M.size == 0 or M.shape[0] == 0:
         return np.eye(n)
     U, s, Vh = np.linalg.svd(M)
-    thresh = rank_tol * max(1.0, float(s[0]) if s.size else 0.0)
+    thresh = RANK_TOL * max(1.0, float(s[0]) if s.size else 0.0)
     rank = int(np.sum(s > thresh))
     return Vh[rank:].conj().T
 
@@ -225,8 +232,6 @@ class SystemModel:
     C: np.ndarray
     delta_w: float
     N: int
-    rank_tol: float = DEFAULT_RANK_TOL
-    stability_margin: float = DEFAULT_STABILITY_MARGIN
     delta_vp: Optional[float] = None
     delta_vm: Optional[float] = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -242,17 +247,16 @@ class SystemModel:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "delta_w", float(self.delta_w))
-        object.__setattr__(self, "N", int(self.N))
-        if self.delta_w < 0:
-            raise ConfigError("delta_w must be nonnegative")
+        object.__setattr__(self, "N", as_int(self.N, "window length N"))
+        if not (np.isfinite(self.delta_w) and self.delta_w >= 0):
+            raise ConfigError(f"delta_w must be finite and nonnegative, got {self.delta_w}")
         if self.N < 1:
             raise ConfigError("window length N must be >= 1")
         # the full window stack must recover the state: rank n.  For N >= n this
         # is exactly (A, C) observability (Cayley-Hamilton); for N < n stricter.
         obs = _stack_rows(A, C, np.arange(C.shape[0]), self.N)
-        if rank_with_tol(obs, self.rank_tol) < n:
-            raise ConfigError(
-                "(A, C) window stack is rank deficient at the configured rank_tol")
+        if rank_with_tol(obs) < n:
+            raise ConfigError("(A, C) window stack is rank deficient at RANK_TOL")
 
     # -- basic dimensions ---------------------------------------------------
     @property
@@ -363,58 +367,14 @@ def build_auth_O(model: SystemModel, compromised: SensorSet,
     return np.vstack(rows)
 
 
-@dataclass(frozen=True)
-class StackedWindow:
-    """Sensor-major stacked measurement window anchored at window_start.
-
-    The attack and noise stacks, when known (simulation privilege), share the
-    exact same layout.
-    """
-
-    y_stacked: np.ndarray
-    window_start: int
-    p: int
-    N: int
-    a_stacked: Optional[np.ndarray] = None
-    w_stacked: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        for name in ("y_stacked", "a_stacked", "w_stacked"):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            v = np.asarray(v, dtype=float).ravel()
-            if v.size != self.p * self.N:
-                raise ConfigError(f"{name} must have p*N={self.p * self.N} entries")
-            object.__setattr__(self, name, v)
-
-    @classmethod
-    def from_series(cls, series: np.ndarray, t: int, N: int) -> "StackedWindow":
-        """Stack rows t..t+N-1 of a (T, p) measurement series."""
-        series = np.atleast_2d(np.asarray(series, dtype=float))
-        if t < 0 or t + N > series.shape[0]:
-            raise ConfigError("window exceeds series bounds")
-        return cls(series[t:t + N].T.ravel(), t, series.shape[1], N)
-
-    def per_step(self, k: int) -> np.ndarray:
-        """All sensors at window slot k (the transposed, time-major view)."""
-        if not 0 <= k < self.N:
-            raise IndexError(f"window slot {k} out of range 0..{self.N - 1}")
-        return self.y_stacked[k::self.N]
-
-    def sensor_block(self, i: int) -> np.ndarray:
-        """Window slots of sensor i (1-based)."""
-        return self.y_stacked[(i - 1) * self.N: i * self.N]
-
-
 # -- eigenstructure -----------------------------------------------------------
 
-def _eig_groups(A: np.ndarray, rank_tol: float) -> list[tuple[complex, int, int]]:
+def _eig_groups(A: np.ndarray) -> list[tuple[complex, int, int]]:
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = A.shape[0]
     vals = np.linalg.eig(A)[0]
     scale = max(1.0, float(np.max(np.abs(vals))) if n else 1.0)
-    tol = max(1e-8 * scale, rank_tol * scale * 10)
+    tol = max(1e-8 * scale, RANK_TOL * scale * 10)
     groups: list[list[complex]] = []
     for lam in sorted(vals, key=lambda z: (-abs(z), np.angle(z))):
         for g in groups:
@@ -427,23 +387,21 @@ def _eig_groups(A: np.ndarray, rank_tol: float) -> list[tuple[complex, int, int]
     for g in groups:
         lam = complex(np.mean(g))
         alg = len(g)
-        geo = n - rank_with_tol(A - lam * np.eye(n), rank_tol)
+        geo = n - rank_with_tol(A - lam * np.eye(n))
         out.append((lam, alg, max(1, geo)))
     return out
 
 
-def unstable_eigenstructure(A: np.ndarray, stability_margin: float = DEFAULT_STABILITY_MARGIN,
-                            rank_tol: float = DEFAULT_RANK_TOL) -> list[tuple[complex, int, int]]:
-    """Eigenvalues with |lambda| >= 1 - stability_margin, as
+def unstable_eigenstructure(A: np.ndarray) -> list[tuple[complex, int, int]]:
+    """Eigenvalues with |lambda| >= 1 - STABILITY_MARGIN, as
     (eigenvalue, algebraic multiplicity, geometric multiplicity), ordered by
     (|lambda| desc, angle asc)."""
-    out = [(lam, alg, geo) for lam, alg, geo in _eig_groups(A, rank_tol)
-           if abs(lam) >= 1.0 - stability_margin]
+    out = [(lam, alg, geo) for lam, alg, geo in _eig_groups(A)
+           if abs(lam) >= 1.0 - STABILITY_MARGIN]
     return sorted(out, key=lambda t: (-abs(t[0]), np.angle(t[0])))
 
 
-def unstable_null_intersection(model: SystemModel, compromised: SensorSet,
-                               stability_margin: Optional[float] = None):
+def unstable_null_intersection(model: SystemModel, compromised: SensorSet):
     """Search for an unstable eigenvector inside the clean sensors' null space.
 
     For each unstable eigenvalue tests rank([A - lambda I; O_clean]) < n; on
@@ -452,16 +410,15 @@ def unstable_null_intersection(model: SystemModel, compromised: SensorSet,
     spanning the invariant plane when lambda is complex.  Returns None when no
     unstable eigenvalue admits a witness.
     """
-    margin = model.stability_margin if stability_margin is None else stability_margin
     O_clean = build_O(model, compromised.complement())
     n = model.n
-    for lam, _alg, _geo in unstable_eigenstructure(model.A, margin, model.rank_tol):
+    for lam, _alg, _geo in unstable_eigenstructure(model.A):
         stacked = np.vstack([model.A - lam * np.eye(n), O_clean.astype(complex)])
-        basis = null_basis(stacked, model.rank_tol)
+        basis = null_basis(stacked)
         if basis.shape[1] == 0:
             continue
         v = basis[:, 0]
-        if abs(lam.imag) <= model.rank_tol * max(1.0, abs(lam)):
+        if abs(lam.imag) <= RANK_TOL * max(1.0, abs(lam)):
             lam_r = float(lam.real)
             # rotate the complex phase away; the vector is real up to phase
             j = int(np.argmax(np.abs(v)))
@@ -491,10 +448,10 @@ def unstable_chain(model: SystemModel, compromised: SensorSet):
     if isinstance(lam, complex) or np.ndim(v) == 2:
         return lam, [v]  # complex pair: the invariant 2-plane, no chain extension
     O_clean = build_O(model, compromised.complement())
-    Z = null_basis(O_clean, model.rank_tol)  # admissible subspace
+    Z = null_basis(O_clean)  # admissible subspace
     n = model.n
     alg = 1
-    for lam_g, alg_g, _ in unstable_eigenstructure(model.A, model.stability_margin, model.rank_tol):
+    for lam_g, alg_g, _ in unstable_eigenstructure(model.A):
         if abs(lam_g - lam) <= 1e-8 * max(1.0, abs(lam)):
             alg = alg_g
             break
@@ -521,7 +478,7 @@ def max_sparse_observability(model: SystemModel) -> int:
         for removed in itertools.combinations(range(1, p + 1), k):
             keep = SensorSet.of(set(range(1, p + 1)) - set(removed), p)
             obs = _stack_rows(model.A, model.C, keep.indices0, n)
-            if rank_with_tol(obs, model.rank_tol) < n:
+            if rank_with_tol(obs) < n:
                 ok = False
                 break
         if ok:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .decoder import DecodeResult, DecodeStats, WindowDecoder, detector_threshold
 from .detectors import id1, innovation_check
-from .model import ConfigError, SensorSet, StackedWindow, SystemModel, matvec_rows
+from .model import ConfigError, SensorSet, SystemModel, as_int, matvec_rows
 
 __all__ = [
     "NoiseSpec",
@@ -23,7 +23,6 @@ __all__ = [
     "AuthPolicy",
     "Delivered",
     "SimTrace",
-    "step",
     "apply_attack",
     "run_closed_loop",
 ]
@@ -98,10 +97,11 @@ class Periodic:
     phase: int = 0
 
     def __post_init__(self):
-        if int(self.period) < 1:
+        period = as_int(self.period, "authentication period")
+        if period < 1:
             raise ConfigError("authentication period must be >= 1")
-        object.__setattr__(self, "period", int(self.period))
-        object.__setattr__(self, "phase", int(self.phase) % self.period)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "phase", as_int(self.phase, "authentication phase") % period)
 
 
 @dataclass(frozen=True)
@@ -197,18 +197,6 @@ class Delivered:
     violated: tuple[int, ...]
 
 
-def step(model: SystemModel, state: np.ndarray, u: np.ndarray,
-         v_p: np.ndarray, v_m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One plant step: next state and the (pre-attack) measurement."""
-    x = np.asarray(state, dtype=float).ravel()
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if x.size != model.n or u.size != model.m:
-        raise ConfigError("state/input dimension mismatch")
-    nxt = model.A @ x + model.B @ u + np.asarray(v_p, dtype=float)
-    y = model.C @ x + np.asarray(v_m, dtype=float)
-    return nxt, y
-
-
 def apply_attack(y: np.ndarray, a: np.ndarray, compromised: SensorSet,
                  auth_now: SensorSet) -> Delivered:
     """Deliver y + a with authentication enforced.
@@ -269,16 +257,6 @@ class SimTrace:
     @property
     def horizon(self) -> int:
         return len(self.t)
-
-    def window(self, t: int):
-        """StackedWindow view of delivered measurements anchored at t (only
-        anchors whose N steps fall inside the trace)."""
-        N = self.model.N
-        if not 0 <= t <= self.horizon - N:
-            raise ConfigError(f"window anchor {t} outside trace")
-        return StackedWindow(self.y_delivered[t:t + N].T.ravel(), t,
-                             self.model.p, N,
-                             a_stacked=self.attack[t:t + N].T.ravel())
 
     def max_error(self) -> float:
         return float(np.max(self.err_norm))
@@ -427,7 +405,7 @@ def run_closed_loop(model: SystemModel,
 
     x = np.zeros((T_meas + 1, n))
     if x0 is not None:
-        x[0] = np.asarray(x0, dtype=float).ravel()
+        x[0] = _shaped(x0, (n,), "initial state x0")
     u_hist = np.zeros((T_meas, m))
     x_ref = np.zeros((T_meas, n))
     if reference is not None:

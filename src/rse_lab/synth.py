@@ -35,6 +35,7 @@ from .model import (
     ConfigError,
     SensorSet,
     SystemModel,
+    as_int,
     build_overlap_stack,
     build_O,
     matvec_rows,
@@ -85,11 +86,6 @@ class AttackPlan:
 
     def as_callable(self):
         return self.at
-
-    def stacked_window(self, t: int, N: int) -> np.ndarray:
-        """Sensor-major stacked attack over the window anchored at t."""
-        rows = np.stack([self.at(t + k) for k in range(N)])
-        return rows.T.ravel()
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -292,12 +288,13 @@ def sustained_attack(model: SystemModel, compromised: SensorSet, *,
     if det not in ("I", "II", "1", "2"):
         raise ConfigError(f"unknown detector {detector!r}")
     det = "I" if det in ("I", "1") else "II"
-    if int(period) < 1:
+    period = as_int(period, "attack period")
+    if period < 1:
         raise ConfigError(f"attack period must be >= 1, got {period}")
     if epsilon is not None and not float(epsilon) >= 0:
         raise ConfigError(f"attack epsilon must be >= 0, got {epsilon}")
     N = model.N
-    t0 = (N - 1) if start is None else int(start)
+    t0 = (N - 1) if start is None else as_int(start, "attack start")
     if t0 < N - 1:
         raise ConfigError(f"attack start must leave a complete ramp window (>= {N - 1})")
     T_meas = horizon + N - 1
@@ -305,7 +302,7 @@ def sustained_attack(model: SystemModel, compromised: SensorSet, *,
         raise ConfigError("attack start beyond plan horizon")
 
     F = build_overlap_stack(model, compromised)
-    branch_a = rank_with_tol(F, model.rank_tol) < model.n
+    branch_a = rank_with_tol(F) < model.n
 
     if det == "I" and branch_a and (policy is None or not _reset_times(policy, compromised, 0, T_meas)):
         verdict = pa_over_time_id1(model, compromised)
@@ -321,7 +318,7 @@ def sustained_attack(model: SystemModel, compromised: SensorSet, *,
     if noise is None:
         raise ConfigError("ramped synthesis needs the scenario noise stream")
     return _ramped_plan(model, compromised, det, horizon, noise, policy, t0,
-                        int(period), epsilon)
+                        period, epsilon)
 
 
 def _roll_forward(model: SystemModel, compromised: SensorSet, inj: np.ndarray,
@@ -361,9 +358,9 @@ def _cold_start_plan(model: SystemModel, compromised: SensorSet, F: np.ndarray,
     T_meas = horizon + model.N - 1
     # a stable A shrinks the propagated state; a growing null-space drive
     # keeps the error above any bound eventually
-    stable = not unstable_eigenstructure(model.A, model.stability_margin, model.rank_tol)
+    stable = not unstable_eigenstructure(model.A)
     gain = 0.05 * max(1.0, eta) if stable else 0.0
-    z = np.real(null_basis(F, model.rank_tol)[:, 0])
+    z = np.real(null_basis(F)[:, 0])
     anchor = t0 - (model.N - 1)
     inj = np.zeros((T_meas, model.n))
     inj[anchor] = z / np.linalg.norm(z) * eta

@@ -15,20 +15,16 @@ COARSE_STEP = 0.04
 FINE_STEP = 0.001
 
 
-def _violation(O_c, y_c, X, delta_w, N, mode):
+def _violation(O_c, y_c, X, delta_w, N):
     """Constraint violation of every state row in X: max over window slots of
-    (block residual norm - radius); <= 0 means feasible at that state."""
+    (slot residual norm - delta_w); <= 0 means feasible at that state."""
     R = y_c[None, :] - X @ O_c.T            # (m, rows)
     q = O_c.shape[0] // N
-    R3 = R.reshape(len(X), q, N)
-    if mode == "per_step":
-        block = np.linalg.norm(R3, axis=1)  # (m, N) cross-sensor norms per slot
-        return np.max(block - delta_w, axis=1)
-    total = np.linalg.norm(R, axis=1)
-    return total - np.sqrt(N) * delta_w
+    block = np.linalg.norm(R.reshape(len(X), q, N), axis=1)  # (m, N) cross-sensor norms per slot
+    return np.max(block - delta_w, axis=1)
 
 
-def grid_feasibility(O_c, y_c, delta_w, N, mode="per_step", box=GRID_BOX):
+def grid_feasibility(O_c, y_c, delta_w, N, box=GRID_BOX):
     """Complete two-stage grid search over x in [-box, box]^2.
 
     Returns (ub, lb) bracketing the in-box minimum violation: ub is attained
@@ -42,7 +38,7 @@ def grid_feasibility(O_c, y_c, delta_w, N, mode="per_step", box=GRID_BOX):
     fb = L * FINE_STEP * np.sqrt(2) / 2
     axis = np.arange(-box, box + COARSE_STEP / 2, COARSE_STEP)
     Xc = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    vc = _violation(O_c, y_c, Xc, delta_w, N, mode)
+    vc = _violation(O_c, y_c, Xc, delta_w, N)
     ub = float(vc.min())
     if ub <= 0:
         return ub, ub - cb
@@ -54,7 +50,7 @@ def grid_feasibility(O_c, y_c, delta_w, N, mode="per_step", box=GRID_BOX):
     d2 = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1).reshape(-1, 2)
     fine_best = np.inf
     for c in hot:
-        vf = _violation(O_c, y_c, c[None, :] + d2, delta_w, N, mode)
+        vf = _violation(O_c, y_c, c[None, :] + d2, delta_w, N)
         fine_best = min(fine_best, float(vf.min()))
         if fine_best <= 0:
             return fine_best, fine_best - fb
@@ -62,22 +58,22 @@ def grid_feasibility(O_c, y_c, delta_w, N, mode="per_step", box=GRID_BOX):
     return float(fine_best), float(min(fine_best - fb, cb))
 
 
-def weighted_ls_value(O_c, y_c, weights, N, mode="per_step"):
+def weighted_ls_value(O_c, y_c, weights, N):
     """min_x sum_k weights_k ||r_k(x)||^2 for r = y_c - O_c x, by lstsq on rows
     scaled by sqrt(weights).  The groups k are the N window slots of the
-    sensor-major rows (row j lies in slot j mod N), or all rows for the
-    stacked ball.  For weights in the simplex this value is a lower bound on
-    (min_x max_k ||r_k(x)||)^2, so above radius^2 it certifies infeasibility.
+    sensor-major rows (row j lies in slot j mod N).  For weights in the simplex
+    this value is a lower bound on (min_x max_k ||r_k(x)||)^2, so above
+    delta_w^2 it certifies infeasibility.
     """
     weights = np.asarray(weights, dtype=float)
     assert np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12
-    slot = np.arange(O_c.shape[0]) % N if mode == "per_step" else np.zeros(O_c.shape[0], int)
+    slot = np.arange(O_c.shape[0]) % N
     scale = np.sqrt(weights[slot])
     x = np.linalg.lstsq(O_c * scale[:, None], y_c * scale, rcond=None)[0]
     return float(np.sum(weights[slot] * (y_c - O_c @ x) ** 2))
 
 
-def exhaustive_min_support(model, y, delta_w, mode="per_step"):
+def exhaustive_min_support(model, y, delta_w):
     """Minimum-cardinality support by exhaustive enumeration with the grid
     feasibility oracle on each candidate's clean rows.
 
@@ -96,7 +92,7 @@ def exhaustive_min_support(model, y, delta_w, mode="per_step"):
                 verdicts[comb] = "feasible"
                 continue
             rows = np.concatenate([np.arange((i - 1) * N, i * N) for i in clean])
-            ub, lb = grid_feasibility(O[rows], y[rows], delta_w, N, mode)
+            ub, lb = grid_feasibility(O[rows], y[rows], delta_w, N)
             if ub <= 0:
                 verdicts[comb] = "feasible"
             elif lb > 0:

@@ -283,3 +283,75 @@ def test_parse_config_rejects_unknown_attack_keys(tmp_path, capsys):
     # an attack section that is not an object is malformed, not a traceback
     with pytest.raises(r.ConfigError, match="malformed"):
         r.parse_config(dict(base, attack="synth"))
+
+
+def _full_doc():
+    """A config that sets every section the parser reads."""
+    return {
+        "system": {"A": [[1, .01], [0, 1]], "B": [[.0001], [.01]],
+                   "C": [[1, 0], [0, 1], [0, 1]], "N": 2, "delta_w": "auto"},
+        "noise": {"kind": "uniform_elementwise", "lo": -0.05, "hi": 0.05, "seed": 0},
+        "compromised": [1, 2, 3],
+        "detector": "II",
+        "attack": {"source": "synth", "start": 100, "period": 2},
+        "auth": {"sensors": [1, 2], "period": 10, "phase": 0},
+        "horizon": {"steps": 150},
+        "dt": 0.01,
+        "controller": {"gain": [[500.0, 40.0]],
+                       "reference": {"kind": "circle", "radius": 10.0,
+                                     "angular_rate": 0.1, "phase": 0.0}},
+        "output": {},
+    }
+
+
+def _set(doc, path, value):
+    *outer, key = path.split(".")
+    for part in outer:
+        doc = doc[part]
+    doc[key] = value
+
+
+@pytest.mark.parametrize("path", ["horizn", "system.rank_tol", "system.stability_margin",
+                                  "system.delta_W", "noise.sed", "auth.phse",
+                                  "horizon.step", "controller.gian",
+                                  "controller.reference.radiuss", "output.trace"])
+def test_config_refuses_unknown_keys(tmp_path, capsys, path):
+    assert r.parse_config(_full_doc()).horizon == 150
+    doc = _full_doc()
+    _set(doc, path, 1)
+    key = path.split(".")[-1]
+    with pytest.raises(r.ConfigError, match=f"unknown keys \\['{key}'\\]"):
+        r.parse_config(doc)
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(["analyze", "--config", str(cfg)]) == 1
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path,value,message", [
+    ("system.N", 2.9, "N must be an integer"),
+    ("horizon.steps", 150.8, "steps must be an integer"),
+    ("auth.period", 10.9, "period must be an integer"),
+    ("auth.phase", 0.5, "phase must be an integer"),
+    ("attack.start", 100.5, "start must be an integer"),
+    ("attack.period", 2.5, "period must be an integer"),
+    ("noise.seed", 1.5, "seed must be an integer"),
+    ("system.delta_w", float("nan"), "delta_w must be finite"),
+    ("system.delta_w", float("inf"), "delta_w must be finite"),
+    ("system.A", [[1, .01], [0, float("nan")]], "A has non-finite"),
+])
+def test_config_refuses_fractional_and_non_finite_values(tmp_path, capsys, path, value,
+                                                         message):
+    # the parent truncated the fractions (N 2.9 ran with N = 2) and ran a
+    # NaN delta_w with every residual inside Omega
+    doc = _full_doc()
+    _set(doc, path, value)
+    with pytest.raises(r.ConfigError, match=message):
+        r.parse_config(doc)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))  # json writes NaN and Infinity, and reads them back
+    assert run_cli(["simulate", "--config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
+    if isinstance(value, float) and np.isfinite(value):
+        _set(doc, path, 2.0)
+        r.parse_config(doc)  # an integral float passes

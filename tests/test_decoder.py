@@ -6,7 +6,7 @@ import pytest
 
 import rse_lab as r
 from rse_lab import decoder
-from rse_lab.decoder import PER_STEP, STACKED, DecodeStats, NoiseFeasibleSet, WindowDecoder
+from rse_lab.decoder import DecodeStats, NoiseFeasibleSet, WindowDecoder
 
 from conftest import random_observable_model
 from oracles import grid_feasibility, weighted_ls_value
@@ -26,14 +26,14 @@ def four_sensor_model(delta_w=0.05):
 def test_oracle_consistent_noiseless(stable_two_state):
     x0 = np.array([1.0, -2.0])
     y = stable_two_state.O_full() @ x0
-    res = r.feasibility_oracle(stable_two_state, r.SensorSet.all(1), y)
+    res = WindowDecoder(stable_two_state).feasibility(r.SensorSet.all(1), y)
     assert res.feasible
     assert np.allclose(res.x_hat, x0, atol=1e-9)
     assert np.linalg.norm(res.w_hat) <= 1e-9
 
 
 def test_oracle_empty_clean_set_vacuous(stable_two_state):
-    res = r.feasibility_oracle(stable_two_state, r.SensorSet.empty(1), np.array([5.0, 7.0]))
+    res = WindowDecoder(stable_two_state).feasibility(r.SensorSet.empty(1), np.array([5.0, 7.0]))
     assert res.feasible
     assert np.allclose(res.x_hat, 0.0)
 
@@ -46,7 +46,7 @@ def test_oracle_infeasible_off_range():
     U = np.linalg.svd(Om, full_matrices=True)[0]
     perp = U[:, 2]
     y = Om @ np.array([0.5, 0.5]) + 3.0 * perp
-    res = r.feasibility_oracle(m, r.SensorSet.all(1), y)
+    res = WindowDecoder(m).feasibility(r.SensorSet.all(1), y)
     assert not res.feasible
 
 
@@ -92,7 +92,7 @@ def test_decode_no_attack_error_bound():
         res = r.decode(m, y)
         assert res.support == r.SensorSet.empty(3)
         bound = m.O_pinv_norm() * 2 * np.sqrt(m.N) * m.delta_w
-        assert res.error_against(x0) <= bound
+        assert np.linalg.norm(res.x_hat - x0) <= bound
 
 
 def test_decode_null_space_attack_shifts_estimate_exactly(stable_two_state):
@@ -114,7 +114,7 @@ def test_decode_recovers_support():
     y[4:6] += 10.0  # sensor 3 block
     res = r.decode(m, y)
     assert res.support == r.SensorSet.of([3], 4)
-    assert res.error_against(x0) <= m.O_pinv_norm() * 2 * np.sqrt(2) * m.delta_w
+    assert np.linalg.norm(res.x_hat - x0) <= m.O_pinv_norm() * 2 * np.sqrt(2) * m.delta_w
     # constraint satisfaction and noise membership
     resid = y - m.O_full() @ res.x_hat - res.w_hat - res.a_hat
     assert np.linalg.norm(resid) <= 1e-6 * (1 + np.linalg.norm(y))
@@ -178,7 +178,7 @@ def test_stealth_completeness_random_null_attacks():
         m = random_observable_model(rng, n=2, p=3, noise_hw=0.02)
         K = r.SensorSet.of(rng.choice([1, 2, 3], size=rng.integers(2, 4),
                                       replace=False), 3)
-        basis = r.null_basis(r.build_O(m, K.complement()), m.rank_tol)
+        basis = r.null_basis(r.build_O(m, K.complement()))
         if basis.shape[1] == 0:
             continue
         z = basis @ rng.normal(size=basis.shape[1])
@@ -192,27 +192,6 @@ def test_stealth_completeness_random_null_attacks():
         assert res.support == r.SensorSet.empty(3)
         tried += 1
     assert tried >= 30
-
-
-def test_omega_modes_per_step_vs_stacked():
-    m = r.SystemModel(A=[[0.9, 0.2], [-0.1, 0.8]], B=None,
-                      C=[[1, 0], [0, 1], [1, 1]], delta_w=0.1, N=2)
-    # all the noise mass on one window slot: stacked ball allows sqrt(N) more
-    w_rows = np.zeros((2, 3))
-    w_rows[0] = [0.078, 0.078, 0.078]  # slot-0 norm ~ .135 > delta_w
-    y = m.O_full() @ np.array([0.1, 0.2]) + stack(m, w_rows)
-    per = r.feasibility_oracle(m, r.SensorSet.all(3), y,
-                               NoiseFeasibleSet(mode=PER_STEP))
-    stk = r.feasibility_oracle(m, r.SensorSet.all(3), y,
-                               NoiseFeasibleSet(mode=STACKED))
-    assert stk.feasible
-    # per-step may still absorb part of the bump into x_hat; verify against grid
-    rows = r.SensorSet.all(3).block_rows(2)
-    ub, lb = grid_feasibility(m.O_full()[rows], y[rows], m.delta_w, 2, mode="per_step")
-    if ub <= 0:
-        assert per.feasible
-    elif lb > 1e-7:
-        assert not per.feasible
 
 
 def test_decoder_stats_exposed():
@@ -263,14 +242,14 @@ def test_oracle_indeterminate_band(monkeypatch):
         return Om @ np.array([0.1, 0.2]) + size * perp
 
     # 5e-8 off range: certified infeasible, sqrt(||r||^2 / 3) above eps_feas
-    res = r.feasibility_oracle(m, r.SensorSet.all(1), window(5e-8))
+    res = WindowDecoder(m).feasibility(r.SensorSet.all(1), window(5e-8))
     assert res.status == "infeasible"
     assert 2.8e-8 <= res.gap < 5e-8
     np.testing.assert_allclose(res.weights, np.full(3, 1 / 3))
     assert np.sqrt(weighted_ls_value(Om, window(5e-8), res.weights, 3)) == pytest.approx(
         res.gap, rel=1e-6)
     # 5e-9 off range: a tie, feasible within eps_feas
-    res = r.feasibility_oracle(m, r.SensorSet.all(1), window(5e-9))
+    res = WindowDecoder(m).feasibility(r.SensorSet.all(1), window(5e-9))
     assert res.feasible
     assert 0 < res.gap <= NoiseFeasibleSet.eps_feas
     np.testing.assert_allclose(Om @ res.x_hat + res.w_hat, window(5e-9), rtol=0, atol=1e-15)
@@ -328,18 +307,14 @@ def test_decode_accepts_first_feasible_support_near_boundary():
         assert weighted_ls_value(O[rows], y[rows], weights, N) > dw ** 2
 
 
-@pytest.mark.parametrize("mode", [PER_STEP, STACKED])
-def test_feasibility_verdicts_carry_certificates(mode):
+def test_feasibility_verdicts_carry_certificates():
     rng = np.random.default_rng(12)
-    omega = NoiseFeasibleSet(mode=mode)
-    oracle_mode = "per_step" if mode == PER_STEP else "stacked"
     seen = collections.Counter()
     for k in range(6):
         m = random_observable_model(rng, p=5, weighted=bool(k % 2))
-        dec = WindowDecoder(m, omega)
+        dec = WindowDecoder(m)
         O, N, dw, p = m.O_full(), m.N, m.delta_w, m.p
-        radius = dw if mode == PER_STEP else np.sqrt(N) * dw
-        uniform = np.full(N, 1 / N) if mode == PER_STEP else np.ones(1)
+        uniform = np.full(N, 1 / N)
         for _ in range(25):
             # per-slot noise at 90-100 % of delta_w, two sensors attacked near it
             w = rng.normal(size=(N, p))
@@ -354,20 +329,19 @@ def test_feasibility_verdicts_carry_certificates(mode):
                     seen["feasible", v.iterations > 0] += 1
                     np.testing.assert_allclose(O[rows] @ v.x_hat + v.w_hat, y[rows],
                                                rtol=0, atol=1e-12 * (1 + np.abs(y).max()))
-                    assert omega.contains(v.w_hat, dw, N) or 0 < v.gap <= omega.eps_feas
+                    assert dec.omega.contains(v.w_hat, dw, N) or 0 < v.gap <= dec.omega.eps_feas
                     continue
                 assert v.status == "infeasible"
                 seen["infeasible", v.iterations > 0] += 1
                 if v.iterations == 0:
                     assert v.weights is None
-                    value = weighted_ls_value(O[rows], y[rows], uniform, N, oracle_mode)
+                    value = weighted_ls_value(O[rows], y[rows], uniform, N)
                 else:
-                    value = weighted_ls_value(O[rows], y[rows], v.weights, N, oracle_mode)
-                assert value > radius ** 2
-                assert np.sqrt(value) - radius == pytest.approx(v.gap, rel=1e-6)
+                    value = weighted_ls_value(O[rows], y[rows], v.weights, N)
+                assert value > dw ** 2
+                assert np.sqrt(value) - dw == pytest.approx(v.gap, rel=1e-6)
     assert seen["feasible", False] and seen["infeasible", False]
-    if mode == PER_STEP:
-        assert seen["feasible", True] and seen["infeasible", True]
+    assert seen["feasible", True] and seen["infeasible", True]
 
 
 def test_window_length_one():
@@ -378,21 +352,16 @@ def test_window_length_one():
     assert np.allclose(r.build_overlap_stack(m, r.SensorSet.of([1], 2)), [[1.0]])
 
 
-@pytest.mark.parametrize("mode", [PER_STEP, STACKED])
-def test_decode_batch_matches_decode(mode):
+def test_decode_batch_matches_decode():
     rng = np.random.default_rng(31)
-    omega = NoiseFeasibleSet(mode=mode)
 
     def size(res_rows):  # the quantity Omega bounds
-        if mode == PER_STEP:
-            return max(np.linalg.norm(res_rows[k::N]) for k in range(N))
-        return np.linalg.norm(res_rows)
+        return max(np.linalg.norm(res_rows[k::N]) for k in range(N))
 
     for k in range(4):
         m = random_observable_model(rng, p=4, weighted=bool(k % 2))
-        dec = WindowDecoder(m, omega)
+        dec = WindowDecoder(m)
         O, N, dw, p = m.O_full(), m.N, m.delta_w, m.p
-        radius = dw if mode == PER_STEP else np.sqrt(N) * dw
         rows, margins = [], []
         for _ in range(24):
             w = rng.normal(size=p * N)
@@ -408,7 +377,7 @@ def test_decode_batch_matches_decode(mode):
             w = rng.normal(size=p * N)
             w *= 1e-3 * dw / np.linalg.norm(w)
             r0 = dec.feasibility(r.SensorSet.all(p), w).w_hat
-            rows.append(O @ rng.normal(size=m.n) + w * (radius * (1 + rel) / size(r0)))
+            rows.append(O @ rng.normal(size=m.n) + w * (dw * (1 + rel) / size(r0)))
             margins.append(rel)
         Y = np.array(rows)
         X, fallback = dec.decode_batch(Y)

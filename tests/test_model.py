@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import rse_lab as r
-from rse_lab.model import rank_margin, singular_values
+from rse_lab.model import RANK_TOL, rank_margin, singular_values
+from rse_lab.sim import _forced_response_rows, _windows
 
 from conftest import random_observable_model
 
@@ -71,8 +72,6 @@ def test_build_overlap_stack_rows_subset_of_O_rows(vtf):
 def test_rank_with_tol_basics():
     assert r.rank_with_tol(np.eye(3)) == 3
     assert r.rank_with_tol(np.array([[1.0, 0.0], [1.0, 0.0]])) == 1
-    with pytest.raises(ValueError):
-        r.rank_with_tol(np.eye(2), 0.0)
 
 
 def test_rank_scale_and_permutation_invariance():
@@ -158,7 +157,7 @@ def test_witness_reverification_random():
         vv = v if v.ndim == 1 else v[:, 0]
         scale = max(1.0, float(np.linalg.norm(O_clean, 2)) if O_clean.size else 1.0)
         if O_clean.shape[0]:
-            assert np.linalg.norm(O_clean @ v) <= 10 * m.rank_tol * scale * max(
+            assert np.linalg.norm(O_clean @ v) <= 10 * RANK_TOL * scale * max(
                 1.0, np.linalg.norm(v))
         if v.ndim == 1:
             assert np.linalg.norm((m.A - lam * np.eye(m.n)) @ v) <= 1e-7 * max(
@@ -197,17 +196,28 @@ def test_model_validation():
         r.SystemModel(A=[[1.0]], B=None, C=[[1.0]], delta_w=-1.0, N=1)
     with pytest.raises(r.ConfigError):
         r.SystemModel(A=[[1.0, 0.0]], B=None, C=[[1.0]], delta_w=0.0, N=1)
+    # non-finite entries: a NaN delta_w once passed the "< 0" check and let
+    # every residual count as inside Omega
+    good = dict(A=[[1.0]], B=[[1.0]], C=[[1.0]], delta_w=0.1, N=1)
+    for key, bad, message in (("delta_w", float("nan"), "delta_w"),
+                              ("delta_w", float("inf"), "delta_w"),
+                              ("A", [[float("nan")]], "A has non-finite"),
+                              ("B", [[float("inf")]], "B has non-finite"),
+                              ("C", [[-float("inf")]], "C has non-finite"),
+                              ("N", 2.5, "N must be an integer")):
+        with pytest.raises(r.ConfigError, match=message):
+            r.SystemModel(**dict(good, **{key: bad}))
 
 
-def test_stacked_window_layout():
+def test_stacked_window_layout(vtf):
+    # the windows the simulator decodes: sensor-major blocks, slot k of
+    # sensor i at entry (i - 1) * N + k (zero inputs: no forced response)
     series = np.arange(12, dtype=float).reshape(4, 3)  # 4 steps, 3 sensors
-    w = r.StackedWindow.from_series(series, t=1, N=2)
-    assert np.allclose(w.y_stacked, [3, 6, 4, 7, 5, 8])  # sensor-major blocks
-    assert np.allclose(w.per_step(0), [3, 4, 5])
-    assert np.allclose(w.per_step(1), [6, 7, 8])
-    assert np.allclose(w.sensor_block(2), [4, 7])
-    with pytest.raises(IndexError):
-        w.per_step(2)
+    Y = _windows(series, np.zeros((4, 1)), _forced_response_rows(vtf))
+    assert Y.shape == (3, 6)
+    assert np.array_equal(Y[1], [3, 6, 4, 7, 5, 8])
+    assert np.array_equal(Y[1][1::2], series[2])  # slot 1, all sensors
+    assert np.array_equal(Y[1][2:4], series[1:3, 1])  # sensor 2, both slots
 
 
 def test_suggest_delta_w_vtf(vtf):

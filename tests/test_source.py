@@ -1,6 +1,7 @@
 """Static checks over the library source."""
 
 import ast
+import importlib
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "rse_lab"
@@ -58,3 +59,16 @@ def test_closed_loop_step_loop_builds_no_per_run_operators():
              if isinstance(n, ast.Call)
              and getattr(n.func, "attr", getattr(n.func, "id", None)) in banned]
     assert not found, f"per-run operators built in the step loop: {found}"
+
+
+def test_public_names_resolve():
+    # a name left in __all__ after its definition is gone breaks `import *`
+    modules = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__main__")
+    assert modules
+    missing = []
+    for name in modules:
+        dotted = "rse_lab" if name == "__init__" else f"rse_lab.{name}"
+        module = importlib.import_module(dotted)
+        missing += [f"{dotted}.{e}" for e in getattr(module, "__all__", ())
+                    if not hasattr(module, e)]
+    assert not missing, f"__all__ entries that do not exist: {missing}"

@@ -22,7 +22,7 @@ def test_single_step_attack_stable_two_state(stable_two_state):
     x0 = np.array([0.3, 0.7])
     res = r.decode(stable_two_state, stable_two_state.O_full() @ x0 + att)
     assert res.support == r.SensorSet.empty(1)
-    assert res.error_against(x0) == pytest.approx(5.0, abs=1e-9)
+    assert np.linalg.norm(res.x_hat - x0) == pytest.approx(5.0, abs=1e-9)
     assert np.allclose(r.single_step_attack(stable_two_state, K, 0.0), 0.0)
 
 
@@ -42,7 +42,7 @@ def test_single_step_attack_vtf_error_floor(vtf):
     res = r.decode(vtf, y + att)
     assert res.support == r.SensorSet.empty(3)
     floor = 50.0 - vtf.O_pinv_norm() * 2 * np.sqrt(2) * vtf.delta_w
-    assert res.error_against(x0) >= floor
+    assert np.linalg.norm(res.x_hat - x0) >= floor
 
 
 def test_stealth_slack_formula():
@@ -127,8 +127,8 @@ def test_sustained_window_consistency(vtf):
     O = vtf.O_full()
     inj_times = {t for t, _ in plan.injections}
     for t in range(5, 295):
-        w0 = plan.stacked_window(t, 2)
-        w1 = plan.stacked_window(t + 1, 2)
+        w0 = plan.entries[t:t + 2].T.ravel()
+        w1 = plan.entries[t + 1:t + 3].T.ravel()
         assert w0[1::2][0] == w1[0::2][0]  # shared step, sensor 1
         assert np.array_equal(w0[1::2], w1[0::2])
         if t + 1 not in inj_times:  # no fresh injection inside this window
@@ -156,6 +156,10 @@ def test_sustained_rejects_bad_period_and_epsilon(vtf, stable_two_state):
         with pytest.raises(r.ConfigError, match="period must be >= 1"):
             r.sustained_attack(vtf, K, detector="II", horizon=300, noise=noise,
                                period=period)
+    # a fractional period or start was truncated to the integer below it
+    for kw in ({"period": 2.5}, {"start": 5.5}):
+        with pytest.raises(r.ConfigError, match="must be an integer"):
+            r.sustained_attack(vtf, K, detector="II", horizon=300, noise=noise, **kw)
     for eps in (-1.0, float("nan")):
         with pytest.raises(r.ConfigError, match="epsilon must be >= 0"):
             r.sustained_attack(vtf, K, detector="II", horizon=300, noise=noise,
@@ -295,7 +299,7 @@ def test_cold_start_windows_exact_null_space_form(stable_two_state):
                               epsilon=50.0)
     O = stable_two_state.O_full()
     for t in range(1, 55):
-        w = plan.stacked_window(t, 2)
+        w = plan.entries[t:t + 2].T.ravel()
         assert np.allclose(w, O @ plan.zeta[t], atol=1e-9 * 50)
 
 
