@@ -27,7 +27,7 @@ from .decoder import (
     detector_threshold,
     innovation_bound,
 )
-from .detectors import AlarmVerdict, id1, id2, innovation_check
+from .detectors import AlarmVerdict, detector_name, id1, id2, innovation_check
 from .attackability import (
     PaVerdict,
     PolicyVerdict,
@@ -42,7 +42,6 @@ from .sim import (
     AuthPolicy,
     NoiseBoundViolation,
     NoiseSpec,
-    Periodic,
     PrecisionLoss,
     SimTrace,
     apply_attack,

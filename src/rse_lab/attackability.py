@@ -10,6 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .detectors import detector_name
 from .model import (
     RANK_TOL,
     ConfigError,
@@ -178,8 +179,9 @@ def _decimated_stack(model: SystemModel, auth_subset: SensorSet, period: int) ->
 
 def policy_prevents_pa(model: SystemModel, compromised: SensorSet, policy,
                        auth_subset: SensorSet, detector: str = "II") -> PolicyVerdict:
-    """Check whether a periodic authentication policy on auth_subset rules out
-    over-time perfect attacks for the given detector.
+    """Check whether authenticating auth_subset every policy.period steps
+    rules out over-time perfect attacks for the given detector; the policy
+    must authenticate every sensor of auth_subset (policy.sensors).
 
     Requires (A, P_F C) observable.  For the support-only detector: a full-rank
     F(S, N) allows any bounded period; a rank-deficient F(S, N) demands period 1.
@@ -188,11 +190,12 @@ def policy_prevents_pa(model: SystemModel, compromised: SensorSet, policy,
     boundedness argument rests on inverting it, so it is checked explicitly and
     reported when observability alone would have passed.
     """
+    det = detector_name(detector)
     checks: dict = {}
     if len(auth_subset) == 0:
         return PolicyVerdict(False, "empty authentication subset", checks)
-    period = policy.common_period(auth_subset) if policy is not None else None
-    checks["period"] = period
+    covered = policy is not None and set(auth_subset) <= set(policy.sensors)
+    checks["period"] = period = policy.period if covered else None
     if period is None:
         return PolicyVerdict(False, "policy is not periodic with a common bounded "
                                     "period on the authenticated subset", checks)
@@ -212,7 +215,7 @@ def policy_prevents_pa(model: SystemModel, compromised: SensorSet, policy,
         checks["key_matrix_warning"] = (
             "observable (A, P_F C) but the period-decimated stack loses rank")
 
-    if detector.upper() in ("II", "2"):
+    if det == "II":
         if key_ok:
             return PolicyVerdict(True, "bounded period with observable subset "
                                        "and full-rank decimated stack", checks)

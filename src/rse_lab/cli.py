@@ -26,6 +26,7 @@ from .config import (
     vtf_scenario,
 )
 from .decoder import decode as decode_window
+from .detectors import detector_name
 from .model import RANK_TOL, ConfigError
 from .synth import NotPerfectlyAttackable
 
@@ -49,7 +50,7 @@ def cmd_analyze(args) -> int:
     report = analyze_model(cfg.model, cfg.compromised)
     if cfg.policy is not None:
         verdict = policy_prevents_pa(cfg.model, cfg.compromised, cfg.policy,
-                                     cfg.policy.sensors(), cfg.detector)
+                                     cfg.policy.sensors, cfg.detector)
         report["policy"] = verdict.to_report()
     text = report_to_json(report)
     print(text)
@@ -60,7 +61,7 @@ def cmd_analyze(args) -> int:
                report["pa_over_time_id1"]["margins"].get("margin_overlap", 1.0)]
     if any(m is not None and m < MARGIN_BAND * RANK_TOL for m in margins):
         return 3
-    pa = report["pa_over_time_id2"]["attackable"] if cfg.detector.upper() == "II" \
+    pa = report["pa_over_time_id2"]["attackable"] if detector_name(cfg.detector) == "II" \
         else report["pa_over_time_id1"]["attackable"]
     if cfg.policy is not None and report.get("policy", {}).get("prevented"):
         pa = False

@@ -9,6 +9,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .detectors import detector_name
 from .model import ConfigError, SensorSet, SystemModel, as_int, matvec_rows, suggest_delta_w
 from .sim import AuthPolicy, NoiseSpec, SimTrace, run_closed_loop
 from .synth import AttackPlan, sustained_attack
@@ -97,6 +98,8 @@ def make_reference(model: SystemModel, spec: Optional[dict], dt: float):
     radius = float(spec.get("radius", 1.0))
     rate = float(spec.get("angular_rate", 0.1))
     phase = float(spec.get("phase", 0.0))
+    if not np.isfinite([radius, rate, phase]).all():
+        raise ConfigError("reference radius, angular_rate and phase must be finite")
     if model.n != 2:
         raise ConfigError("the sinusoidal reference assumes a 2-state axis model")
 
@@ -149,6 +152,13 @@ def _section(section, where: str, allowed=None) -> dict:
     return section
 
 
+def _sensor_list(value, where: str) -> list[int]:
+    """A JSON array of sensor numbers as ints; ConfigError for anything else."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be an array of sensor numbers, got {value!r}")
+    return [as_int(i, f"{where} entry") for i in value]
+
+
 def _parse_config(doc: dict, name: str) -> ScenarioConfig:
     _section(doc, "top level")
     sysd = _section(doc["system"], "system")
@@ -173,21 +183,26 @@ def _parse_config(doc: dict, name: str) -> ScenarioConfig:
                         delta_vp=dvp if noise.kind != "zero" else None,
                         delta_vm=dvm if noise.kind != "zero" else None)
 
-    comp = SensorSet.of(doc.get("compromised", []), model.p)
+    comp = SensorSet.of(_sensor_list(doc.get("compromised", []), "compromised"), model.p)
 
     authd = doc.get("auth")
     policy = None
     if authd:
         _section(authd, "auth")
-        policy = AuthPolicy.periodic(authd["sensors"], authd["period"],
-                                     model.p, authd.get("phase", 0))
+        policy = AuthPolicy.periodic(_sensor_list(authd["sensors"], "auth.sensors"),
+                                     authd["period"], model.p, authd.get("phase", 0))
 
     dt = float(doc.get("dt", 1.0))
+    if not 0 < dt < np.inf:
+        raise ConfigError(f"dt must be a finite number > 0, got {dt!r}")
     hord = _section(doc.get("horizon", {"steps": 1000}), "horizon")
     if "steps" in hord:
         horizon = as_int(hord["steps"], "horizon.steps")
     elif "seconds" in hord:
-        horizon = int(round(float(hord["seconds"]) / dt))
+        seconds = float(hord["seconds"])
+        if not np.isfinite(seconds):
+            raise ConfigError(f"horizon.seconds must be finite, got {seconds!r}")
+        horizon = int(round(seconds / dt))
     else:
         raise ConfigError("horizon needs 'steps' or 'seconds'")
 
@@ -209,7 +224,7 @@ def _parse_config(doc: dict, name: str) -> ScenarioConfig:
         raise ConfigError(f"attack file not found: {attack.get('path')!r}")
 
     return ScenarioConfig(model=model, noise=noise, compromised=comp,
-                          detector=str(doc.get("detector", "II")),
+                          detector=detector_name(doc.get("detector", "II")),
                           attack=attack, policy=policy, horizon=horizon, dt=dt,
                           controller_gain=gain, reference=reference,
                           outputs=_section(doc.get("output", {}), "output"), name=name)

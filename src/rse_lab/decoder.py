@@ -227,6 +227,8 @@ class WindowDecoder:
         y = np.asarray(y_window, dtype=float).ravel()
         if y.size != self.model.p * self.model.N:
             raise ConfigError(f"window must have p*N={self.model.p * self.model.N} entries")
+        if not np.isfinite(y).all():  # Omega's norm tests read NaN as inside
+            raise ConfigError("window has a NaN or infinite entry")
         stats = DecodeStats()
         O = self.model.O_full()
         for support in self._supports():
@@ -258,6 +260,9 @@ class WindowDecoder:
         Y = np.asarray(Y, dtype=float)
         if Y.ndim != 2 or Y.shape[1] != self.model.p * self.model.N:
             raise ConfigError(f"windows must be rows of p*N={self.model.p * self.model.N} entries")
+        bad = np.flatnonzero(~np.isfinite(Y).all(axis=1))
+        if bad.size:
+            raise ConfigError(f"window {bad[0]} has a NaN or infinite entry")
         X, inside = self.fast_path(Y)
         fallback = {int(w): self.decode(Y[w]) for w in np.flatnonzero(~inside)}
         for w, res in fallback.items():

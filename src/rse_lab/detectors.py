@@ -14,9 +14,19 @@ from typing import Optional
 import numpy as np
 
 from .decoder import DecodeResult, detector_threshold
-from .model import SystemModel, matvec_rows
+from .model import ConfigError, SystemModel, matvec_rows
 
-__all__ = ["AlarmVerdict", "id1", "id2", "innovation_check"]
+__all__ = ["AlarmVerdict", "detector_name", "id1", "id2", "innovation_check"]
+
+DETECTOR_NAMES = {"I": "I", "1": "I", "II": "II", "2": "II"}
+
+
+def detector_name(name) -> str:
+    """The canonical "I" or "II" of the detector names I, II, 1, 2, ID_I, ID_II (any case)."""
+    canonical = DETECTOR_NAMES.get(str(name).upper().removeprefix("ID_"))
+    if canonical is None:
+        raise ConfigError(f"unknown detector {name!r}; use I, II, 1, 2, ID_I or ID_II")
+    return canonical
 
 
 @dataclass(frozen=True)

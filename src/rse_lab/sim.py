@@ -19,7 +19,6 @@ __all__ = [
     "NoiseSpec",
     "NoiseBoundViolation",
     "PrecisionLoss",
-    "Periodic",
     "AuthPolicy",
     "Delivered",
     "SimTrace",
@@ -47,6 +46,10 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("uniform_elementwise", "ball", "zero"):
             raise ConfigError(f"unknown noise kind {self.kind!r}")
+        if not np.isfinite([self.lo, self.hi, self.radius_p, self.radius_m]).all():
+            raise ConfigError("noise lo, hi, radius_p and radius_m must be finite")
+        if min(self.radius_p, self.radius_m) < 0:
+            raise ConfigError("noise radii must be >= 0")
         if self.kind == "uniform_elementwise" and self.lo > self.hi:
             raise ConfigError("uniform noise needs lo <= hi")
 
@@ -90,9 +93,11 @@ def _ball_draws(rng, T: int, dim: int, radius: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Periodic:
-    """Authenticate at every t with t % period == phase (phase taken mod period)."""
+class AuthPolicy:
+    """Authenticate every sensor of `sensors`, all at once, at each t with
+    t % period == phase (phase taken mod period); the others never."""
 
+    sensors: SensorSet
     period: int
     phase: int = 0
 
@@ -103,77 +108,18 @@ class Periodic:
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "phase", as_int(self.phase, "authentication phase") % period)
 
-
-@dataclass(frozen=True)
-class AuthPolicy:
-    """Per-sensor authentication schedules.
-
-    Each listed sensor maps to a Periodic schedule or to a frozenset of
-    explicit authentication times; unlisted sensors are never authenticated.
-    """
-
-    schedules: dict
-    p: int
-
-    def __post_init__(self):
-        for i, s in self.schedules.items():
-            if not isinstance(s, (Periodic, frozenset)):
-                raise ConfigError(f"schedule of sensor {i} must be Periodic or a frozenset "
-                                  f"of times, got {s!r}")
-            if not (isinstance(i, int) and 1 <= i <= self.p):
-                raise ConfigError(f"authenticated sensor {i!r} out of range 1..{self.p}")
-
-    @classmethod
-    def never(cls, p: int) -> "AuthPolicy":
-        return cls({}, p)
-
     @classmethod
     def periodic(cls, sensors, period: int, p: int, phase: int = 0) -> "AuthPolicy":
-        sched = Periodic(period, phase)
-        return cls({int(i): sched for i in sensors}, p)
-
-    @classmethod
-    def explicit(cls, sensor_times: dict, p: int) -> "AuthPolicy":
-        sched = {}
-        for i, times in sensor_times.items():
-            ts = [int(t) for t in times]
-            if ts != sorted(set(ts)):
-                raise ConfigError(f"authentication times for sensor {i} must be strictly increasing")
-            sched[int(i)] = frozenset(ts)
-        return cls(sched, p)
-
-    def authenticated(self, sensor: int, t: int) -> bool:
-        s = self.schedules.get(sensor)
-        if isinstance(s, Periodic):
-            return t % s.period == s.phase
-        return s is not None and t in s
+        return cls(SensorSet.of(sensors, p), period, phase)
 
     def auth_set(self, t: int) -> SensorSet:
-        return SensorSet.of([i for i in self.schedules if self.authenticated(i, t)], self.p)
+        return self.sensors if t % self.period == self.phase else SensorSet.empty(self.sensors.p)
 
     def mask(self, T: int) -> np.ndarray:
         """(T, p) bool: entry [t, i-1] is set when sensor i is authenticated at t."""
-        out = np.zeros((T, self.p), dtype=bool)
-        for i, s in self.schedules.items():
-            if isinstance(s, Periodic):
-                out[s.phase::s.period, i - 1] = True
-            else:
-                out[[t for t in s if 0 <= t < T], i - 1] = True
+        out = np.zeros((T, self.sensors.p), dtype=bool)
+        out[self.phase::self.period, list(self.sensors.indices0)] = True
         return out
-
-    def sensors(self) -> SensorSet:
-        return SensorSet.of(self.schedules.keys(), self.p)
-
-    def common_period(self, subset: SensorSet):
-        """The period when every sensor of the subset shares one Periodic
-        schedule (same period and phase), else None: explicit schedules and
-        misaligned phases carry no bounded-period guarantee, which needs
-        simultaneous enforcement."""
-        scheds = {self.schedules.get(i) for i in subset}
-        if len(scheds) != 1:
-            return None
-        (s,) = scheds
-        return s.period if isinstance(s, Periodic) else None
 
 
 class NoiseBoundViolation(ConfigError):
@@ -323,13 +269,17 @@ def _windows(y_del: np.ndarray, u: np.ndarray, frk: list) -> np.ndarray:
 
 
 def _shaped(a, shape: tuple, what: str) -> np.ndarray:
-    """a as a new float array of the given shape; ConfigError otherwise."""
+    """a as a new finite float array of the given shape; ConfigError otherwise."""
     try:
         out = np.array(a, dtype=float)
     except (TypeError, ValueError) as exc:  # ragged rows or entries that are not numbers
         raise ConfigError(f"{what} must be a float array of shape {shape}: {exc}") from exc
     if out.shape != shape:
         raise ConfigError(f"{what} must be a float array of shape {shape}, got {out.shape}")
+    bad = np.argwhere(~np.isfinite(out))
+    if len(bad):
+        raise ConfigError(f"{what} has a non-finite entry"
+                          + (f" at step {bad[0][0]}" if out.ndim == 2 else ""))
     return out
 
 
@@ -375,11 +325,10 @@ def run_closed_loop(model: SystemModel,
     N, n, p, m = model.N, model.n, model.p, model.m
     T_meas = horizon + N - 1
     comp = compromised if compromised is not None else SensorSet.empty(p)
-    pol = policy if policy is not None else AuthPolicy.never(p)
     K_gain = np.zeros((m, n)) if controller_gain is None else np.atleast_2d(
         np.asarray(controller_gain, dtype=float))
-    if K_gain.shape != (m, n):
-        raise ConfigError(f"controller gain must be {m}x{n}")
+    if K_gain.shape != (m, n) or not np.isfinite(K_gain).all():
+        raise ConfigError(f"controller gain must be a finite {m}x{n} matrix")
     feedback = bool(K_gain.any())
 
     vP, vM = noise.draw(T_meas, n, p)
@@ -397,7 +346,7 @@ def run_closed_loop(model: SystemModel,
 
     # attack and authentication: plans and schedules are fixed in advance, so
     # they are enforced over every step at once
-    auth = pol.mask(T_meas)
+    auth = np.zeros((T_meas, p), dtype=bool) if policy is None else policy.mask(T_meas)
     a_applied = np.zeros((T_meas, p)) if attack is None else _shaped(
         [np.asarray(attack(t), dtype=float).ravel() for t in range(T_meas)],
         (T_meas, p), "attack(t) stacked over the run's steps")

@@ -31,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .attackability import pa_over_time_id1, pa_over_time_id2, pa_single_step
+from .detectors import detector_name
 from .model import (
     ConfigError,
     SensorSet,
@@ -253,10 +254,10 @@ class _SlackLedger:
 
 def _reset_times(policy: Optional[AuthPolicy], compromised: SensorSet,
                  start: int, t_end: int) -> list[int]:
-    if policy is None:
+    """Authentication times in start..t_end-1 that reach a compromised sensor."""
+    if policy is None or not set(policy.sensors) & set(compromised):
         return []
-    watched = [i - 1 for i in policy.sensors() if i in compromised.indices]
-    return (np.flatnonzero(policy.mask(t_end)[start:, watched].any(axis=1)) + start).tolist()
+    return list(range(start + (policy.phase - start) % policy.period, t_end, policy.period))
 
 
 def sustained_attack(model: SystemModel, compromised: SensorSet, *,
@@ -284,10 +285,7 @@ def sustained_attack(model: SystemModel, compromised: SensorSet, *,
     bounded, as the policy analysis predicts.  A period below 1 or a negative
     epsilon raises ConfigError.
     """
-    det = detector.upper().replace("ID_", "")
-    if det not in ("I", "II", "1", "2"):
-        raise ConfigError(f"unknown detector {detector!r}")
-    det = "I" if det in ("I", "1") else "II"
+    det = detector_name(detector)
     period = as_int(period, "attack period")
     if period < 1:
         raise ConfigError(f"attack period must be >= 1, got {period}")

@@ -164,28 +164,20 @@ def test_policy_unobservable_subset_never_prevents(vtf):
 
 
 def test_policy_requires_aligned_periodic_schedules(vtf):
+    # the bounded-period guarantee needs every sensor of the subset
+    # authenticated together: a policy on {1} says nothing about sensor 2
     S3 = r.SensorSet.all(3)
     F = r.SensorSet.of([1, 2], 3)
-    pol = r.AuthPolicy.explicit({1: range(0, 1000, 10), 2: range(0, 1000, 10)}, 3)
-    v = r.policy_prevents_pa(vtf, S3, pol, F, "II")
-    assert not v.prevented  # explicit schedules carry no bounded-period claim
-    staggered = r.AuthPolicy({1: r.Periodic(10, 0), 2: r.Periodic(10, 5)}, 3)
-    v2 = r.policy_prevents_pa(vtf, S3, staggered, F, "II")
-    assert not v2.prevented
-
-
-def test_explicit_schedule_is_not_read_as_periodic(vtf):
-    # two explicit times must not be mistaken for a (period, phase) pair
-    pol = r.AuthPolicy.explicit({1: [3, 7]}, 3)
-    assert [t for t in range(30) if pol.authenticated(1, t)] == [3, 7]
-    F = r.SensorSet.of([1], 3)
-    assert pol.common_period(F) is None
-    v = r.policy_prevents_pa(vtf, r.SensorSet.all(3), pol, F, "II")
+    v = r.policy_prevents_pa(vtf, S3, r.AuthPolicy.periodic([1], 10, 3), F, "II")
     assert not v.prevented
-    with pytest.raises(r.ConfigError):
-        r.AuthPolicy({1: (3, 7)}, 3)  # schedules are Periodic or frozenset only
-    with pytest.raises(r.ConfigError):
-        r.AuthPolicy.periodic([4], 10, 3)  # sensor outside 1..p
+    assert v.checks["period"] is None and "not periodic" in v.reason
+    v = r.policy_prevents_pa(vtf, S3, None, F, "II")
+    assert not v.prevented and v.checks["period"] is None
+    # a subset of the authenticated sensors shares their period
+    pol = r.AuthPolicy.periodic([1, 2], 10, 3)
+    for subset in (F, r.SensorSet.of([1], 3)):
+        v = r.policy_prevents_pa(vtf, S3, pol, subset, "II")
+        assert v.prevented and v.checks["period"] == 10
 
 
 def test_analyze_report_serializes(vtf):

@@ -134,6 +134,15 @@ def test_decode_subcommand(tmp_path, capsys):
     assert abs(rep["x_hat"][0] - 0.1) < 0.01
 
 
+def test_decode_subcommand_refuses_nan_window(tmp_path, capsys):
+    # it printed support [] and x_hat [NaN, NaN], which is not JSON, and exited 0
+    win = tmp_path / "win.csv"
+    win.write_text("t,y_1,y_2,y_3\n0,nan,0.2,0.2\n1,0.101,0.2,0.2\n")
+    assert run_cli(["decode", "--builtin", "vtf", str(win)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "NaN or infinite" in captured.err
+
+
 def test_reproduce_fig2a(tmp_path, capsys):
     assert run_cli(["reproduce", "fig2a", "--outdir", str(tmp_path)]) == 0
     body = (tmp_path / "fig2a.csv").read_text().strip().split("\n")
@@ -355,3 +364,61 @@ def test_config_refuses_fractional_and_non_finite_values(tmp_path, capsys, path,
     if isinstance(value, float) and np.isfinite(value):
         _set(doc, path, 2.0)
         r.parse_config(doc)  # an integral float passes
+
+
+NOISE_FINITE = "noise lo, hi, radius_p and radius_m must be finite"
+REFERENCE_FINITE = "reference radius, angular_rate and phase must be finite"
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"dt": 0, "horizon": {"seconds": 1.5}}, "dt must be a finite number > 0"),
+    ({"dt": -0.01}, "dt must be a finite number > 0"),
+    ({"dt": float("nan")}, "dt must be a finite number > 0"),
+    ({"horizon": {"seconds": float("inf")}}, "horizon.seconds must be finite"),
+    ({"system.delta_w": 0.2, "noise.lo": float("nan")}, NOISE_FINITE),
+    ({"system.delta_w": 0.2, "noise.hi": float("inf")}, NOISE_FINITE),
+    ({"system.delta_w": 0.2, "noise": {"kind": "ball", "radius_m": float("nan")}},
+     NOISE_FINITE),
+    ({"system.delta_w": 0.2, "noise": {"kind": "ball", "radius_p": -0.1}},
+     "noise radii must be >= 0"),
+    ({"controller.reference.radius": float("nan")}, REFERENCE_FINITE),
+    ({"controller.reference.angular_rate": float("inf")}, REFERENCE_FINITE),
+    ({"controller.reference.phase": float("-inf")}, REFERENCE_FINITE),
+    ({"compromised": [1.5]}, "compromised entry must be an integer"),
+    ({"compromised": "12"}, "compromised must be an array"),
+    ({"auth.sensors": "12"}, "auth.sensors must be an array"),
+    ({"auth.sensors": [1, "2"]}, "auth.sensors entry must be an integer"),
+    ({"detector": "foo"}, "unknown detector 'foo'"),
+], ids=["dt_zero_seconds", "dt_negative", "dt_nan", "seconds_inf", "noise_lo_nan",
+        "noise_hi_inf", "noise_radius_nan", "noise_radius_negative", "reference_radius_nan",
+        "reference_rate_inf", "reference_phase_inf", "compromised_fraction",
+        "compromised_string", "auth_sensors_string", "auth_sensors_string_entry",
+        "detector_unknown"])
+def test_config_refuses_bad_numbers_and_sensor_lists(tmp_path, capsys, changes, message):
+    # the parent ran these (a fractional sensor as its integer part, "12" as
+    # sensors 1 and 2, a NaN dt with a horizon in steps) or ended in a
+    # ZeroDivisionError or OverflowError traceback
+    doc = _full_doc()
+    for path, value in changes.items():
+        _set(doc, path, value)
+    with pytest.raises(r.ConfigError, match=message):
+        r.parse_config(doc).run()
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(["simulate", "--config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_analyze_reads_every_detector_name(tmp_path, capsys):
+    # the stable two-state plant: attackable for ID_I, not for ID_II; analyze
+    # read only "II" as ID_II and every other name, "2" among them, as ID_I
+    doc = {"system": {"A": [[0.3, 1], [0, 0.5]], "C": [[1, 0]], "N": 2, "delta_w": 0},
+           "compromised": [1]}
+    cfg = tmp_path / "two_state.json"
+    codes = {}
+    for detector in ("II", "2", "ID_II", "id_ii", 2, "I", "1", "ID_I", "foo"):
+        cfg.write_text(json.dumps(dict(doc, detector=detector)))
+        codes[detector] = run_cli(["analyze", "--config", str(cfg)])
+    assert codes == {"II": 0, "2": 0, "ID_II": 0, "id_ii": 0, 2: 0,
+                     "I": 2, "1": 2, "ID_I": 2, "foo": 1}
+    assert "unknown detector 'foo'" in capsys.readouterr().err

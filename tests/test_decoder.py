@@ -396,3 +396,18 @@ def test_decode_batch_matches_decode():
             if margins[i] is not None:
                 # only rows inside by more than the 1e-9 margin skip decode
                 assert (i in fallback) == (margins[i] > -1e-9)
+
+
+def test_decode_refuses_non_finite_windows(vtf):
+    # Omega's norm test reads a NaN residual as inside: the window decoded
+    # attack-free with a NaN estimate
+    dec = WindowDecoder(vtf)
+    y = stack(vtf, [[0.1, 0.2, 0.2], [0.101, 0.2, 0.2]])
+    assert len(dec.decode(y).support) == 0
+    for bad in (np.nan, np.inf, -np.inf):
+        yb = y.copy()
+        yb[0] = bad
+        with pytest.raises(r.ConfigError, match="NaN or infinite"):
+            dec.decode(yb)
+        with pytest.raises(r.ConfigError, match="window 2 has a NaN or infinite"):
+            dec.decode_batch(np.stack([y, y, yb, y]))

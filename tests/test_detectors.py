@@ -87,3 +87,29 @@ def test_id2_output_unchanged(vtf):
         assert type(v.id2_innovation) is float
         assert v.id2_innovation == pytest.approx(innov, rel=1e-14)
         assert (v.id1_alarm, v.id2_alarm, v.threshold_d) == (False, jump, d)
+
+
+def test_detector_names_have_one_parser(vtf, stable_two_state):
+    for names, canonical in ((("I", "i", "1", 1, "ID_I", "id_i"), "I"),
+                             (("II", "ii", "2", 2, "ID_II", "Id_II"), "II")):
+        assert {r.detector_name(name) for name in names} == {canonical}
+    S1 = r.SensorSet.all(1)
+    pol = r.AuthPolicy.periodic([1], 5, 1)
+    # period 5 prevents PA against ID_II but not against ID_I on this plant
+    for name in ("II", "2", "ID_II"):
+        assert r.policy_prevents_pa(stable_two_state, S1, pol, S1, name).prevented
+    for name in ("I", "1", "ID_I"):
+        assert not r.policy_prevents_pa(stable_two_state, S1, pol, S1, name).prevented
+    doc = {"system": {"A": [[0.3, 1], [0, 0.5]], "C": [[1, 0]], "N": 2, "delta_w": 0},
+           "compromised": [1]}
+    assert r.parse_config(dict(doc, detector="ID_II")).detector == "II"
+    assert r.parse_config(dict(doc, detector=1)).detector == "I"
+    for bad in ("III", "ID_", "", None):
+        with pytest.raises(r.ConfigError, match="unknown detector"):
+            r.detector_name(bad)
+        with pytest.raises(r.ConfigError, match="unknown detector"):
+            r.policy_prevents_pa(stable_two_state, S1, pol, S1, bad)
+        with pytest.raises(r.ConfigError, match="unknown detector"):
+            r.parse_config(dict(doc, detector=bad))
+        with pytest.raises(r.ConfigError, match="unknown detector"):
+            r.sustained_attack(vtf, r.SensorSet.all(3), detector=bad, horizon=10)

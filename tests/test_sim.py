@@ -53,18 +53,20 @@ def test_apply_attack_cases():
 
 
 def test_auth_policy_schedules():
-    pol = r.AuthPolicy.periodic([1, 3], 10, 4, phase=2)
-    assert pol.authenticated(1, 2) and pol.authenticated(3, 12)
-    assert not pol.authenticated(1, 3) and not pol.authenticated(2, 2)
-    assert pol.auth_set(12).indices == (1, 3)
-    assert pol.common_period(r.SensorSet.of([1, 3], 4)) == 10
-    assert pol.common_period(r.SensorSet.of([1, 2], 4)) is None
-    exp = r.AuthPolicy.explicit({2: [5, 9, 14]}, 4)
-    assert exp.authenticated(2, 9) and not exp.authenticated(2, 10)
-    with pytest.raises(r.ConfigError):
-        r.AuthPolicy.explicit({1: [3, 3]}, 2)
-    with pytest.raises(r.ConfigError):
-        r.AuthPolicy.periodic([1], 0, 2)
+    pol = r.AuthPolicy.periodic([3, 1], 10, 4, phase=2)
+    assert (pol.sensors, pol.period, pol.phase) == (r.SensorSet.of([1, 3], 4), 10, 2)
+    assert pol.auth_set(2).indices == (1, 3) and pol.auth_set(12).indices == (1, 3)
+    assert pol.auth_set(3) == r.SensorSet.empty(4)
+    mask = pol.mask(30)
+    assert [t for t in range(30) if mask[t, 0]] == [2, 12, 22]
+    assert np.array_equal(mask[:, 0], mask[:, 2]) and not mask[:, [1, 3]].any()
+    for sensors, period, phase, message in (
+            ([1], 0, 0, "period must be >= 1"),
+            ([1], 10.5, 0, "period must be an integer"),
+            ([1], 10, 0.5, "phase must be an integer"),
+            ([5], 10, 0, "out of range 1..4")):
+        with pytest.raises(r.ConfigError, match=message):
+            r.AuthPolicy.periodic(sensors, period, 4, phase)
 
 
 def test_replay_determinism(vtf):
@@ -236,11 +238,14 @@ def test_batched_run_matches_per_window_decoding(vtf, stable_two_state):
 
 
 def test_policy_mask_matches_schedule():
-    pol = r.AuthPolicy({1: r.Periodic(4, 3), 3: frozenset({0, 5, 9, 40})}, 3)
-    mask = pol.mask(20)
-    assert mask.shape == (20, 3)
-    for t in range(20):
-        assert [i for i in (1, 2, 3) if mask[t, i - 1]] == list(pol.auth_set(t).indices)
+    for pol, times in ((r.AuthPolicy.periodic([1, 3], 4, 3, phase=7), [3, 7, 11, 15, 19]),
+                       (r.AuthPolicy.periodic([2], 1, 3), list(range(20))),
+                       (r.AuthPolicy.periodic([], 5, 3), [])):
+        mask = pol.mask(20)
+        assert mask.shape == (20, 3)
+        assert [t for t in range(20) if mask[t].any()] == times
+        for t in range(20):
+            assert [i for i in (1, 2, 3) if mask[t, i - 1]] == list(pol.auth_set(t).indices)
 
 
 def test_unstable_run_reports_precision_loss():
@@ -380,3 +385,24 @@ def test_reference_array_matches_per_step_calls(vtf, spec):
     for t, (xr, uf) in enumerate(steps):
         assert np.array_equal(xr, x_at(t))
         assert np.array_equal(uf, B_pinv @ (x_at(t + 1) - vtf.A @ x_at(t)))
+
+
+def _nan_at(t_bad, i_bad, value):
+    return lambda t: np.array([value if (t, i) == (t_bad, i_bad) else 0.0 for i in range(3)])
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"attack": _nan_at(50, 0, np.nan)}, r"attack\(t\).* non-finite entry at step 50"),
+    ({"attack": _nan_at(50, 0, np.inf)}, r"attack\(t\).* non-finite entry at step 50"),
+    ({"x0": [np.nan, 0.0]}, r"x0 has a non-finite entry$"),
+    ({"controller_gain": [[500.0, np.nan]]}, "controller gain must be a finite 1x2"),
+    ({"reference": lambda ts: (np.where(ts[:, None] == 7, np.inf, np.zeros((len(ts), 2))),
+                               np.zeros((len(ts), 1)))}, "x_ref has a non-finite entry at step 7"),
+    ({"reference": lambda ts: (np.zeros((len(ts), 2)), np.full((len(ts), 1), np.nan))},
+     "u_ff has a non-finite entry at step 0"),
+], ids=["attack_nan", "attack_inf", "x0", "gain", "x_ref", "u_ff"])
+def test_closed_loop_refuses_non_finite_inputs(vtf, kwargs, message):
+    # the run returned a NaN (or inf) max error with alarms (0, 0)
+    noise = r.NoiseSpec(kind="uniform_elementwise", lo=-.05, hi=.05, seed=1)
+    with pytest.raises(r.ConfigError, match=message):
+        r.run_closed_loop(vtf, 200, noise, compromised=r.SensorSet.all(3), **kwargs)

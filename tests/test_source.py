@@ -72,3 +72,48 @@ def test_public_names_resolve():
         missing += [f"{dotted}.{e}" for e in getattr(module, "__all__", ())
                     if not hasattr(module, e)]
     assert not missing, f"__all__ entries that do not exist: {missing}"
+
+
+BENCH = SRC.parent.parent / "bench"
+
+
+def _chain(node) -> list[str] | None:
+    """The names of an attribute chain rooted at the name r, e.g. r.sim.NoiseSpec
+    -> ["sim", "NoiseSpec"]; None for any other expression."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.insert(0, node.attr)
+        node = node.value
+    return names if isinstance(node, ast.Name) and node.id == "r" else None
+
+
+def _resolve(names: list[str]):
+    """Look the names up from rse_lab, a class attribute in the class's own
+    __dict__ as the bench's tracer does; KeyError or AttributeError if one is gone."""
+    obj = importlib.import_module("rse_lab")
+    for name in names:
+        obj = obj.__dict__[name] if isinstance(obj, type) else getattr(obj, name)
+    return obj
+
+
+def test_bench_names_exist():
+    # the bench reaches the library by name: a rename that it does not follow
+    # would fail only when the bench runs
+    wanted = set()
+    for node in ast.walk(ast.parse((BENCH / "run.py").read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "patch" and ast.unparse(node.func.value) == "tracer"):
+            owner, attr = node.args[:2]
+            wanted.add((*_chain(owner), attr.value))
+    assert len(wanted) >= 10, wanted
+    for node in ast.walk(ast.parse((BENCH / "workloads.py").read_text())):
+        if isinstance(node, ast.Attribute) and _chain(node):
+            wanted.add(tuple(_chain(node)))
+    assert ("sim", "AuthPolicy", "auth_set") in wanted and ("vtf_scenario",) in wanted
+    missing = []
+    for names in sorted(wanted):
+        try:
+            _resolve(names)
+        except (KeyError, AttributeError):
+            missing.append("r." + ".".join(names))
+    assert not missing, f"names the bench uses that rse_lab lacks: {missing}"
