@@ -7,11 +7,9 @@ from .model import (
     ConfigError,
     SensorSet,
     SystemModel,
-    build_auth_O,
     build_overlap_stack,
     build_O,
     classical_obs_stack,
-    max_sparse_observability,
     null_basis,
     rank_with_tol,
     suggest_delta_w,
@@ -27,12 +25,11 @@ from .decoder import (
     detector_threshold,
     innovation_bound,
 )
-from .detectors import AlarmVerdict, detector_name, id1, id2, innovation_check
+from .detectors import detector_name, id1, innovation_check
 from .attackability import (
     PaVerdict,
     PolicyVerdict,
     analyze,
-    auth_blocks_single_step,
     pa_over_time_id1,
     pa_over_time_id2,
     pa_single_step,
@@ -47,13 +44,7 @@ from .sim import (
     apply_attack,
     run_closed_loop,
 )
-from .synth import (
-    AttackPlan,
-    NotPerfectlyAttackable,
-    single_step_attack,
-    stealth_slack,
-    sustained_attack,
-)
+from .synth import AttackPlan, NotPerfectlyAttackable, sustained_attack
 from .config import ScenarioConfig, load_config, parse_config, vtf_model, vtf_scenario
 
 __version__ = "0.1.0"

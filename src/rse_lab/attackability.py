@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .model import (
     ConfigError,
     SensorSet,
     SystemModel,
-    build_auth_O,
     build_overlap_stack,
     build_O,
     classical_obs_stack,
@@ -32,7 +31,6 @@ __all__ = [
     "pa_single_step",
     "pa_over_time_id1",
     "pa_over_time_id2",
-    "auth_blocks_single_step",
     "policy_prevents_pa",
     "analyze",
 ]
@@ -51,7 +49,9 @@ def _verify_null(M: np.ndarray, v: np.ndarray, tol: float) -> bool:
 
 def pa_single_step(model: SystemModel, compromised: SensorSet):
     """Single-window attackability: true iff the clean sensors' observation
-    stack loses column rank; the witness is a unit null vector."""
+    stack loses column rank; the witness is a unit null vector z, and the
+    stacked attack O (c z) keeps the decoded support empty for any c."""
+    model.check_sensor_sets(compromised=compromised)
     O_clean = build_O(model, compromised.complement())
     rank, _ = rank_margin(O_clean)
     if rank >= model.n:
@@ -106,9 +106,9 @@ def pa_over_time_id1(model: SystemModel, compromised: SensorSet) -> PaVerdict:
     propagates through the null space of F).  Full-rank F: additionally needs
     an unstable eigenvector inside the clean sensors' null space.
     """
+    single, _ = pa_single_step(model, compromised)
     F = build_overlap_stack(model, compromised)
     rank_F, margin_F = rank_margin(F)
-    single, z = pa_single_step(model, compromised)
     margins = {"rank_overlap": rank_F, "margin_overlap": margin_F}
     if rank_F < model.n:
         w = None
@@ -142,16 +142,6 @@ def pa_over_time_id2(model: SystemModel, compromised: SensorSet) -> PaVerdict:
         notes.append("no unstable eigenvector in clean null space")
     return PaVerdict(ok, "id2", hit, "; ".join(notes) or "all three conditions hold",
                      {"unstable_count": len(unstable)})
-
-
-def auth_blocks_single_step(model: SystemModel, compromised: SensorSet,
-                            auth_sets: Sequence[SensorSet]) -> bool:
-    """True iff per-slot authentication of auth_sets restores full column rank
-    of the (clean + authenticated) observation stack, blocking the single-window
-    perfect attack."""
-    M = build_auth_O(model, compromised, list(auth_sets))
-    rank, _ = rank_margin(M)
-    return rank >= model.n
 
 
 @dataclass(frozen=True)
@@ -191,6 +181,8 @@ def policy_prevents_pa(model: SystemModel, compromised: SensorSet, policy,
     reported when observability alone would have passed.
     """
     det = detector_name(detector)
+    model.check_sensor_sets(compromised=compromised, auth_subset=auth_subset,
+                            policy=None if policy is None else policy.sensors)
     checks: dict = {}
     if len(auth_subset) == 0:
         return PolicyVerdict(False, "empty authentication subset", checks)

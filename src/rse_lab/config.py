@@ -211,6 +211,7 @@ def _parse_config(doc: dict, name: str) -> ScenarioConfig:
     reference = ctrl.get("reference")
     if reference is not None:
         _section(reference, "controller.reference")
+    make_reference(model, reference, dt)  # refuses a bad reference at load time
 
     attack = doc.get("attack", {"source": "none"})
     source = attack.get("source", "none")

@@ -8,9 +8,10 @@ cross-sensor noise vector has 2-norm <= delta_w.  Feasibility is decided by
 dual-weighted least squares; each verdict carries a witness or a certificate.
 
 decode handles one window.  decode_batch takes a whole stack of windows: all
-rows go through the empty support's least-squares fast path in one matrix
-product, and only the rows that do not land clearly inside Omega are handed to
-decode, so every row gets the support decode would give it.
+rows go through decode's first test, the empty support's least-squares start,
+in one matrix product, and only the rows whose residual leaves Omega are
+handed to decode, so every row gets decode's support and estimate.
+NoiseFeasibleSet.inside is the one membership test for Omega.
 """
 
 from __future__ import annotations
@@ -45,21 +46,16 @@ class NoiseFeasibleSet:
 
     eps_feas: ClassVar[float] = 1e-8  # decision tolerance on the min-max residual norm
 
-    def contains(self, r: np.ndarray, delta_w: float, N: int) -> bool:
-        """Whether the sensor-major stacked residual r lies in Omega."""
-        for k in range(N):
-            if np.linalg.norm(r[k::N]) > delta_w:
-                return False
-        return True
+    @staticmethod
+    def slot_sums(R: np.ndarray, N: int) -> np.ndarray:
+        """Per-slot sums of squares (..., N) of the sensor-major stacked
+        residuals R (..., pN), for any leading shape."""
+        return np.add.reduce((R * R).reshape(R.shape[:-1] + (-1, N)), axis=-2)
 
-    def inside_rows(self, R: np.ndarray, delta_w: float, N: int, rtol: float) -> np.ndarray:
-        """Row-wise membership for the stacked residual rows R (W, pN), with
-        Omega shrunk by the relative margin rtol; strict, so a zero-radius
-        Omega holds no row."""
-        # np.linalg.norm's sum of squares without its per-call overhead; sqrt
-        # commutes with max, so the compared norms keep norm's bits
-        sq = np.add.reduce((R * R).reshape(len(R), -1, N), axis=1).max(axis=1)
-        return np.sqrt(sq) < delta_w * (1.0 - rtol)
+    def inside(self, R: np.ndarray, delta_w: float, N: int) -> np.ndarray:
+        """Whether each sensor-major stacked residual, the last axis of R,
+        lies in Omega: every slot norm is <= delta_w."""
+        return np.sqrt(self.slot_sums(R, N).max(axis=-1)) <= delta_w
 
 
 @dataclass
@@ -168,31 +164,32 @@ class WindowDecoder:
         y_c = y_window[ctx.rows]
         N, dw, omega = self.model.N, self.model.delta_w, self.omega
 
-        # fast path: the deterministic (weighted) least-squares start
-        x0 = ctx.G @ y_c
-        r = y_c - ctx.O_c @ x0
-        if omega.contains(r, dw, N):
-            return FeasibilityResult("feasible", x0, r, 0.0, 0)
-
         # quick reject: even the closest affine point cannot reach Omega, which
         # lives inside the sqrt(N) dw ball
-        r_ls = y_c - ctx.O_c @ (ctx.pinv @ y_c)
+        x_hat = ctx.pinv @ y_c
+        r = y_c - ctx.O_c @ x_hat
         sqrt_N = np.sqrt(N)
-        rho = float(np.linalg.norm(r_ls))
+        rho = float(np.linalg.norm(r))
         if rho > sqrt_N * dw + max(10 * omega.eps_feas, 1e-12):
             # uniform weights certify it: sqrt(g) = ||r_ls|| / sqrt(N)
             return FeasibilityResult("infeasible", None, None, rho / sqrt_N - dw, 0)
 
-        # dual-weighted least squares (Lawson): for slot weights lam in the
-        # simplex, g = min_x sum_k lam_k f_k(x) <= (min_x max_k ||r_k(x)||)^2,
-        # so g above dw^2 certifies infeasibility
+        # the deterministic (weighted) least-squares start; one inside Omega is
+        # never quick-rejected, as ||r_ls|| <= ||r_G|| <= sqrt(N) dw
+        x0 = ctx.G @ y_c
+        r0 = y_c - ctx.O_c @ x0
+        if omega.inside(r0, dw, N):
+            return FeasibilityResult("feasible", x0, r0, 0.0, 0)
+
+        # dual-weighted least squares (Lawson) from the least-squares point: for
+        # slot weights lam in the simplex, g = min_x sum_k lam_k f_k(x) <=
+        # (min_x max_k ||r_k(x)||)^2, so g above dw^2 certifies infeasibility
         lam = np.full(N, 1.0 / N)
-        x_hat, r = ctx.pinv @ y_c, r_ls
         status, gap, eps = "indeterminate", 0.0, omega.eps_feas
         for it in range(1, MAX_ROUNDS + 1):
-            f = (r.reshape(-1, N) ** 2).sum(axis=0)
+            f = omega.slot_sums(r, N)
             g, top = float(lam @ f), np.sqrt(f.max())
-            if omega.contains(r, dw, N):
+            if top <= dw:  # inside Omega, the rule of NoiseFeasibleSet.inside
                 status = "feasible"
             elif g > (dw + eps) ** 2:
                 status, gap = "infeasible", np.sqrt(g) - dw
@@ -271,15 +268,14 @@ class WindowDecoder:
 
     def fast_path(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The empty support's estimates G y of the sensor-major windows Y
-        (W, p*N), and the (W,) mask of the rows accepted there: those whose
-        residual lies inside Omega by a relative 1e-9, far more than the
-        rounding of the norms, so decode would give them the empty support
-        and the same estimate."""
+        (W, p*N), and the (W,) mask of the rows accepted there.  This is
+        decode's first test, on the same bits: a row is accepted exactly when
+        decode would give it the empty support and the same estimate."""
         # with every sensor clean the context's rows are 0..pN-1 in order
         ctx = self._context(self._all_clean)
         X = matvec_rows(ctx.G, Y)
         R = Y - matvec_rows(ctx.O_c, X)
-        return X, self.omega.inside_rows(R, self.model.delta_w, self.model.N, 1e-9)
+        return X, self.omega.inside(R, self.model.delta_w, self.model.N)
 
 
 def decode(model: SystemModel, y_window: np.ndarray) -> DecodeResult:

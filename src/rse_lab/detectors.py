@@ -3,20 +3,22 @@
 ID_I alarms on a nonzero estimated attack; the alarm is tied to the decoded
 support being nonempty, which avoids coupling a norm threshold to the decoder
 tolerances.  ID_II additionally alarms when consecutive state estimates
-violate the plant dynamics beyond the attack-free innovation bound.
+violate the plant dynamics beyond the attack-free innovation bound: it is
+ID_I OR innovation_check, with the threshold decoder.detector_threshold, and
+sim.run_closed_loop composes it (its detect stage) over a whole run.  The
+first window has no predecessor, so its innovation check passes vacuously.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .decoder import DecodeResult, detector_threshold
+from .decoder import DecodeResult
 from .model import ConfigError, SystemModel, matvec_rows
 
-__all__ = ["AlarmVerdict", "detector_name", "id1", "id2", "innovation_check"]
+__all__ = ["detector_name", "id1", "innovation_check"]
 
 DETECTOR_NAMES = {"I": "I", "1": "I", "II": "II", "2": "II"}
 
@@ -27,14 +29,6 @@ def detector_name(name) -> str:
     if canonical is None:
         raise ConfigError(f"unknown detector {name!r}; use I, II, 1, 2, ID_I or ID_II")
     return canonical
-
-
-@dataclass(frozen=True)
-class AlarmVerdict:
-    id1_alarm: bool
-    id2_alarm: bool
-    id2_innovation: float
-    threshold_d: float
 
 
 def id1(result: DecodeResult) -> bool:
@@ -60,22 +54,3 @@ def innovation_check(model: SystemModel, x_hat: np.ndarray, x_prev: np.ndarray,
     # rounding of an exact recovery must not alarm
     eps = 1e-9 * (1.0 + np.linalg.norm(x_hat, axis=-1))
     return innov, innov > d + eps
-
-
-def id2(decode_t: DecodeResult, decode_prev: Optional[DecodeResult],
-        model: SystemModel, known_input: Optional[np.ndarray] = None) -> AlarmVerdict:
-    """Innovation check between consecutive decodes, OR-ed with the ID_I flag.
-
-    With no previous decode (t = 0) the innovation check passes vacuously and
-    the verdict degrades to ID_I.  In closed loop the control input between
-    the two window anchors is known and must be compensated, mirroring the
-    decoder's forced-response subtraction; pass it as known_input.
-    """
-    d = detector_threshold(model)
-    a1 = id1(decode_t)
-    if decode_prev is None:
-        return AlarmVerdict(a1, a1, 0.0, d)
-    if known_input is not None:
-        known_input = np.atleast_1d(np.asarray(known_input, dtype=float))
-    innov, jump = innovation_check(model, decode_t.x_hat, decode_prev.x_hat, d, known_input)
-    return AlarmVerdict(a1, a1 or jump, float(innov), d)

@@ -13,7 +13,6 @@ under the row permutation, so the choice only has to be consistent.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -27,7 +26,6 @@ __all__ = [
     "STABILITY_MARGIN",
     "build_O",
     "build_overlap_stack",
-    "build_auth_O",
     "classical_obs_stack",
     "rank_with_tol",
     "singular_values",
@@ -36,7 +34,6 @@ __all__ = [
     "unstable_eigenstructure",
     "unstable_null_intersection",
     "unstable_chain",
-    "max_sparse_observability",
     "suggest_delta_w",
     "stacked_noise_gram",
 ]
@@ -274,6 +271,14 @@ class SystemModel:
     def sensors(self) -> SensorSet:
         return SensorSet.all(self.p)
 
+    def check_sensor_sets(self, **sets: Optional[SensorSet]) -> None:
+        """ConfigError unless every given sensor set (None skipped) is sized
+        for this model's p sensors; the keyword names the set."""
+        for what, s in sets.items():
+            if s is not None and s.p != self.p:
+                raise ConfigError(f"{what} {s} is sized for {s.p} sensors, "
+                                  f"but the model has {self.p}")
+
     # -- cached stacked operators -------------------------------------------
     def O_full(self) -> np.ndarray:
         if "O" not in self._cache:
@@ -347,24 +352,6 @@ def build_overlap_stack(model: SystemModel, compromised: SensorSet) -> np.ndarra
     powers = model.powers()
     bottom = np.vstack([Ck @ powers[j] for j in range(model.N - 1)])
     return np.vstack([top, bottom])
-
-
-def build_auth_O(model: SystemModel, compromised: SensorSet,
-                 auth_sets: Sequence[SensorSet]) -> np.ndarray:
-    """Observation stack where window slot k keeps rows of sensors that are
-    either clean or authenticated at that slot (auth_sets[k] at power A^k)."""
-    if len(auth_sets) != model.N:
-        raise ConfigError(f"need exactly N={model.N} per-slot authentication sets")
-    clean = compromised.complement()
-    powers = model.powers()
-    rows = []
-    for k, I_k in enumerate(auth_sets):
-        keep = sorted(set(I_k.indices0) | set(clean.indices0))
-        if keep:
-            rows.append(model.C[keep] @ powers[k])
-    if not rows:
-        return np.empty((0, model.n))
-    return np.vstack(rows)
 
 
 # -- eigenstructure -----------------------------------------------------------
@@ -466,21 +453,3 @@ def unstable_chain(model: SystemModel, compromised: SensorSet):
             break
         chain.append(cand)
     return float(lam), chain
-
-
-def max_sparse_observability(model: SystemModel) -> int:
-    """Largest k such that observability survives the removal of ANY k sensors
-    (brute force over subsets; intended for desk-scale sensor counts)."""
-    p, n = model.p, model.n
-    for k in range(p, -1, -1):
-        # need every remaining set of size p-k observable; check k removals
-        ok = True
-        for removed in itertools.combinations(range(1, p + 1), k):
-            keep = SensorSet.of(set(range(1, p + 1)) - set(removed), p)
-            obs = _stack_rows(model.A, model.C, keep.indices0, n)
-            if rank_with_tol(obs) < n:
-                ok = False
-                break
-        if ok:
-            return k
-    return 0

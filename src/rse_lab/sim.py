@@ -320,8 +320,11 @@ def run_closed_loop(model: SystemModel,
     declared per-slot window-noise bound delta_w, or when an attack-free run breaks
     its error bound; PrecisionLoss instead when there eps * max ||y_t|| >= delta_w / 100.
     """
+    horizon = as_int(horizon, "horizon")
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
+    model.check_sensor_sets(compromised=compromised,
+                            policy=None if policy is None else policy.sensors)
     N, n, p, m = model.N, model.n, model.p, model.m
     T_meas = horizon + N - 1
     comp = compromised if compromised is not None else SensorSet.empty(p)
@@ -409,8 +412,10 @@ def run_closed_loop(model: SystemModel,
         for s, res in fallback.items():
             tally(s, res)
 
-    # detect: ID_II from consecutive estimates and the known input applied
-    # between their anchors, and the attack-free error bound
+    # detect: ID_II is ID_I OR the innovation check of consecutive estimates,
+    # with the known input applied between their anchors compensated; the
+    # first window has no predecessor and passes it vacuously.  Then the
+    # attack-free error bound
     d_thr = detector_threshold(model)
     innov = np.zeros(horizon)
     jump = np.zeros(horizon, dtype=bool)

@@ -1,8 +1,9 @@
 """Constructive synthesis of stealthy attack sequences.
 
-Three constructions, matching the three ways a system can be attacked:
+A single-window attack needs no builder: it is the stacked O_full() @ (c z)
+for the witness z of attackability.pa_single_step.  The sustained attacks
+come in two constructions:
 
-* single-window attacks O z with z in the clean sensors' null space;
 * cold-start propagated attacks through the null space of F (available when F
   is rank deficient; the start magnitude is a free parameter and the sequence
   stays exactly absorbable window by window);
@@ -10,8 +11,8 @@ Three constructions, matching the three ways a system can be attacked:
   injections hidden inside the per-step noise budget, each propagated through
   the plant dynamics along an unstable eigenvector or generalized-eigenvector
   chain.  By linearity the injections superpose, so the builder keeps a ledger
-  of committed per-window noise deviations and sizes every new injection
-  against the remaining realized slack.  Under an authentication policy the
+  of committed per-window noise deviations (_SlackLedger) and sizes every new
+  injection against the remaining realized slack of each window slot.  Under an authentication policy the
   injection pattern between consecutive enforcement times is projected onto
   the subspace that returns the attacker state to zero exactly at enforcement.
 
@@ -30,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .attackability import pa_over_time_id1, pa_over_time_id2, pa_single_step
+from .attackability import pa_over_time_id1, pa_over_time_id2
 from .detectors import detector_name
 from .model import (
     ConfigError,
@@ -50,9 +51,7 @@ from .sim import AuthPolicy, NoiseSpec, effective_window_noise
 __all__ = [
     "NotPerfectlyAttackable",
     "AttackPlan",
-    "single_step_attack",
     "sustained_attack",
-    "stealth_slack",
 ]
 
 SLACK_SHARE = 0.5  # share of each window slot's realized noise slack a ramp may spend
@@ -118,44 +117,6 @@ class AttackPlan:
         for t, v in zip(times, vals):
             entries[t - t0] = v
         return cls(entries, t0, compromised, detector)
-
-
-def single_step_attack(model: SystemModel, compromised: SensorSet,
-                       magnitude: float) -> np.ndarray:
-    """Stacked single-window attack O z with ||z|| = magnitude.
-
-    z is the deterministic unit null vector of the clean sensors' stack; the
-    decode of y + attack keeps an empty support while shifting the state
-    estimate by z.
-    """
-    ok, z = pa_single_step(model, compromised)
-    if not ok:
-        raise NotPerfectlyAttackable(
-            f"clean sensors {compromised.complement()} keep observability")
-    if magnitude < 0:
-        raise ConfigError("magnitude must be nonnegative")
-    return model.O_full() @ (magnitude * z)
-
-
-def stealth_slack(window_noise_norms, delta_w: float, N: int) -> float:
-    """Admissible stacked-attack budget hidden by the realized window noise.
-
-    Positive slack sqrt(N) delta_w - max ||w|| when the noise is strictly
-    inside its bound; at the boundary the gamma-construction (attack partially
-    cancelling the noise) still allows a budget of sqrt(N) delta_w.
-    """
-    if delta_w == 0:
-        return 0.0
-    radius = float(np.sqrt(N) * delta_w)
-    norms = np.atleast_1d(np.asarray(window_noise_norms, dtype=float))
-    worst = float(np.max(norms)) if norms.size else 0.0
-    tol = 1e-9 * max(1.0, radius)
-    if worst > radius + tol:
-        raise ConfigError("window noise exceeds its declared bound")
-    slack = radius - worst
-    if slack <= tol:
-        return radius
-    return slack
 
 
 # -- sustained attacks --------------------------------------------------------
@@ -286,6 +247,9 @@ def sustained_attack(model: SystemModel, compromised: SensorSet, *,
     epsilon raises ConfigError.
     """
     det = detector_name(detector)
+    model.check_sensor_sets(compromised=compromised,
+                            policy=None if policy is None else policy.sensors)
+    horizon = as_int(horizon, "attack horizon")
     period = as_int(period, "attack period")
     if period < 1:
         raise ConfigError(f"attack period must be >= 1, got {period}")

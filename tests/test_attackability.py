@@ -94,30 +94,13 @@ def test_certificate_soundness_random():
     assert positives >= 40
 
 
-def test_auth_blocks_single_step_cases(stable_two_state, vtf):
-    S3 = r.SensorSet.all(3)
-    full = [S3, S3]
-    assert r.auth_blocks_single_step(vtf, S3, full)
-    none = [r.SensorSet.empty(3), r.SensorSet.empty(3)]
-    assert not r.auth_blocks_single_step(vtf, S3, none)
-    # single-sensor fixture: authenticating the only sensor at slot 1 alone
-    # leaves one observation row, not enough for two states
-    sets = [r.SensorSet.of([1], 1), r.SensorSet.empty(1)]
-    M = r.build_auth_O(stable_two_state, r.SensorSet.all(1), sets)
-    assert np.allclose(M, [[1.0, 0.0]])
-    assert not r.auth_blocks_single_step(stable_two_state, r.SensorSet.all(1), sets)
-    with pytest.raises(r.ConfigError):
-        r.auth_blocks_single_step(vtf, S3, [S3])  # wrong number of slots
-
-
 def test_auth_blocked_error_stays_bounded(vtf):
-    # Authenticated slots restore full rank, and any stealthy single-window
-    # attack then keeps the error within the stacked noise bound.
-    S3 = r.SensorSet.all(3)
-    auth_sets = [r.SensorSet.of([1, 2], 3), r.SensorSet.of([1, 2], 3)]
-    assert r.auth_blocks_single_step(vtf, S3, auth_sets)
+    # Authenticating sensors 1 and 2 in both window slots restores full rank,
+    # and any stealthy single-window attack then keeps the error within the
+    # stacked noise bound.
+    M = r.build_O(vtf, r.SensorSet.of([1, 2], 3))
+    assert r.rank_with_tol(M) == vtf.n
     rng = np.random.default_rng(2)
-    M = r.build_auth_O(vtf, S3, auth_sets)
     bound = 2 * np.sqrt(vtf.N) * vtf.delta_w / np.linalg.svd(M, compute_uv=False)[-1]
     for _ in range(50):
         x0 = rng.normal(size=2)
@@ -186,3 +169,31 @@ def test_analyze_report_serializes(vtf):
     text = json.dumps(rep)
     assert "pa_over_time_id2" in text
     assert rep["pa_over_time_id2"]["attackable"] is True
+
+
+FOUR = r.SensorSet.of([1, 4], 4)
+NOISE = r.NoiseSpec(seed=1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: r.run_closed_loop(m, 20, NOISE, policy=r.AuthPolicy.periodic([1], 5, 4)),
+    lambda m: r.run_closed_loop(m, 20, NOISE, compromised=FOUR),
+    lambda m: r.sustained_attack(m, FOUR, horizon=50, noise=NOISE),
+    lambda m: r.sustained_attack(m, m.sensors(), horizon=50, noise=NOISE,
+                                 policy=r.AuthPolicy.periodic([1], 5, 4)),
+    lambda m: r.policy_prevents_pa(m, m.sensors(), r.AuthPolicy.periodic([1, 4], 5, 4),
+                                   r.SensorSet.of([1], 3)),
+    lambda m: r.policy_prevents_pa(m, m.sensors(), r.AuthPolicy.periodic([1, 2], 5, 3), FOUR),
+    lambda m: r.policy_prevents_pa(m, FOUR, r.AuthPolicy.periodic([1, 2], 5, 3),
+                                   r.SensorSet.of([1], 3)),
+    lambda m: r.pa_single_step(m, FOUR),
+    lambda m: r.pa_over_time_id1(m, FOUR),
+    lambda m: r.analyze(m, r.SensorSet.of([1], 4)),
+], ids=["run_policy", "run_compromised", "synth_compromised", "synth_policy",
+        "policy_policy", "policy_auth_subset", "policy_compromised", "pa_single_step",
+        "pa_over_time_id1", "analyze"])
+def test_sensor_sets_sized_for_another_model_are_refused(vtf, call):
+    # a 4-sensor set on the 3-sensor VTF model ended in numpy's broadcast
+    # ValueError or an IndexError, or silently read sensor 4 as absent
+    with pytest.raises(r.ConfigError, match=r"sized for 4 sensors, but the model has 3"):
+        call(vtf)

@@ -384,6 +384,7 @@ REFERENCE_FINITE = "reference radius, angular_rate and phase must be finite"
     ({"controller.reference.radius": float("nan")}, REFERENCE_FINITE),
     ({"controller.reference.angular_rate": float("inf")}, REFERENCE_FINITE),
     ({"controller.reference.phase": float("-inf")}, REFERENCE_FINITE),
+    ({"controller.reference.kind": "spiral"}, "unknown reference kind 'spiral'"),
     ({"compromised": [1.5]}, "compromised entry must be an integer"),
     ({"compromised": "12"}, "compromised must be an array"),
     ({"auth.sensors": "12"}, "auth.sensors must be an array"),
@@ -391,22 +392,25 @@ REFERENCE_FINITE = "reference radius, angular_rate and phase must be finite"
     ({"detector": "foo"}, "unknown detector 'foo'"),
 ], ids=["dt_zero_seconds", "dt_negative", "dt_nan", "seconds_inf", "noise_lo_nan",
         "noise_hi_inf", "noise_radius_nan", "noise_radius_negative", "reference_radius_nan",
-        "reference_rate_inf", "reference_phase_inf", "compromised_fraction",
+        "reference_rate_inf", "reference_phase_inf", "reference_kind_unknown",
+        "compromised_fraction",
         "compromised_string", "auth_sensors_string", "auth_sensors_string_entry",
         "detector_unknown"])
 def test_config_refuses_bad_numbers_and_sensor_lists(tmp_path, capsys, changes, message):
     # the parent ran these (a fractional sensor as its integer part, "12" as
     # sensors 1 and 2, a NaN dt with a horizon in steps) or ended in a
-    # ZeroDivisionError or OverflowError traceback
+    # ZeroDivisionError or OverflowError traceback; it checked the reference
+    # only when a scenario ran, so analyze, which runs none, exited 2
     doc = _full_doc()
     for path, value in changes.items():
         _set(doc, path, value)
     with pytest.raises(r.ConfigError, match=message):
-        r.parse_config(doc).run()
+        r.parse_config(doc)
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
-    assert run_cli(["simulate", "--config", str(cfg)]) == 1
-    assert message in capsys.readouterr().err
+    for command in ("simulate", "analyze"):
+        assert run_cli([command, "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_analyze_reads_every_detector_name(tmp_path, capsys):

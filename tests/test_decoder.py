@@ -296,7 +296,7 @@ def test_decode_accepts_first_feasible_support_near_boundary():
     assert res.stats.indeterminate == 0
     clean = res.support.complement()
     rows = clean.block_rows(N)
-    assert dec.omega.contains(res.w_hat[rows], dw, N)
+    assert dec.omega.inside(res.w_hat[rows], dw, N)
     np.testing.assert_allclose(O[rows] @ res.x_hat + res.w_hat[rows], y[rows], rtol=0, atol=1e-12)
     # every earlier support is infeasible, each with a certificate
     for support in dec._supports()[:res.stats.supports_tested - 1]:
@@ -329,7 +329,7 @@ def test_feasibility_verdicts_carry_certificates():
                     seen["feasible", v.iterations > 0] += 1
                     np.testing.assert_allclose(O[rows] @ v.x_hat + v.w_hat, y[rows],
                                                rtol=0, atol=1e-12 * (1 + np.abs(y).max()))
-                    assert dec.omega.contains(v.w_hat, dw, N) or 0 < v.gap <= dec.omega.eps_feas
+                    assert dec.omega.inside(v.w_hat, dw, N) or 0 < v.gap <= dec.omega.eps_feas
                     continue
                 assert v.status == "infeasible"
                 seen["infeasible", v.iterations > 0] += 1
@@ -372,12 +372,15 @@ def test_decode_batch_matches_decode():
             rows.append(y)
             margins.append(None)
         # noise whose fast-path residual sits just inside or just outside Omega;
-        # the residual is linear in the noise, so read it off a small draw
-        for rel in (-1e-6, -1e-10, 1e-10, 1e-6):
+        # the residual is linear in the noise, so read it off a small draw.  At
+        # 1e-15 the rounding of a state's O x would swamp the margin, so those
+        # rows carry noise only
+        for rel in (-1e-6, -1e-10, -1e-15, 1e-15, 1e-10, 1e-6):
             w = rng.normal(size=p * N)
             w *= 1e-3 * dw / np.linalg.norm(w)
             r0 = dec.feasibility(r.SensorSet.all(p), w).w_hat
-            rows.append(O @ rng.normal(size=m.n) + w * (dw * (1 + rel) / size(r0)))
+            x = rng.normal(size=m.n) if abs(rel) > 1e-12 else np.zeros(m.n)
+            rows.append(O @ x + w * (dw * (1 + rel) / size(r0)))
             margins.append(rel)
         Y = np.array(rows)
         X, fallback = dec.decode_batch(Y)
@@ -388,14 +391,13 @@ def test_decode_batch_matches_decode():
             if i in fallback:
                 assert fallback[i].support == res.support
                 assert fallback[i].stats == res.stats
-                np.testing.assert_array_equal(fallback[i].x_hat, res.x_hat)
             else:
                 assert len(res.support) == 0
                 assert res.stats == DecodeStats(1, 0, 0)
-            np.testing.assert_allclose(X[i], res.x_hat, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(X[i], res.x_hat)
             if margins[i] is not None:
-                # only rows inside by more than the 1e-9 margin skip decode
-                assert (i in fallback) == (margins[i] > -1e-9)
+                # the fast path has no margin: every row inside Omega skips decode
+                assert (i in fallback) == (margins[i] > 0), (k, margins[i])
 
 
 def test_decode_refuses_non_finite_windows(vtf):

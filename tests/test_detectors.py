@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rse_lab as r
+from rse_lab.config import make_reference
 from rse_lab.decoder import DecodeResult, DecodeStats
 
 
@@ -20,28 +21,40 @@ def test_id1_cases(vtf):
     assert r.id1(fake_result(vtf, [0, 0], support=(3,)))
 
 
+def _sensor3_injection(vtf, start=0):
+    """A VTF run with a constant 50 injected on sensor 3 from step start on."""
+    noise = r.NoiseSpec(kind="uniform_elementwise", lo=-.05, hi=.05, seed=4)
+    return r.run_closed_loop(vtf, 60, noise, compromised=r.SensorSet.all(3),
+                             attack=lambda t: np.array([0.0, 0.0, 50.0 if t >= start else 0.0]),
+                             x0=np.array([5.0, 5.0]))
+
+
 def test_id2_degrades_to_id1_at_start(vtf):
-    v = r.id2(fake_result(vtf, [5.0, 5.0]), None, vtf)
-    assert not v.id1_alarm and not v.id2_alarm
-    assert v.id2_innovation == 0.0
+    # the first window has no predecessor: its innovation is 0 and ID_II is ID_I
+    quiet = r.run_closed_loop(vtf, 60, r.NoiseSpec.zero(), x0=np.array([5.0, 5.0]))
+    assert quiet.innovation[0] == 0.0 and not quiet.alarm_id2[0]
+    attacked = _sensor3_injection(vtf)
+    assert attacked.innovation[0] == 0.0
+    assert attacked.alarm_id1[0] and attacked.alarm_id2[0]
 
 
 def test_id2_innovation_jump(vtf):
     d = r.detector_threshold(vtf)
-    prev = fake_result(vtf, [1.0, 0.0])
-    bumped = vtf.A @ np.array([1.0, 0.0]) + 2 * d * np.array([1.0, 0.0])
-    v = r.id2(fake_result(vtf, bumped), prev, vtf)
-    assert v.id2_alarm and not v.id1_alarm
-    assert v.id2_innovation > d
-    quiet = r.id2(fake_result(vtf, vtf.A @ np.array([1.0, 0.0])), prev, vtf)
-    assert not quiet.id2_alarm
-    assert quiet.threshold_d == d
+    prev = np.array([1.0, 0.0])
+    bumped = vtf.A @ prev + 2 * d * np.array([1.0, 0.0])
+    innov, jump = r.innovation_check(vtf, bumped, prev, d, None)
+    assert jump and innov > d
+    innov, jump = r.innovation_check(vtf, vtf.A @ prev, prev, d, None)
+    assert not jump and innov == 0.0
 
 
 def test_id1_implies_id2(vtf):
-    prev = fake_result(vtf, [0.0, 0.0])
-    v = r.id2(fake_result(vtf, vtf.A @ np.zeros(2), support=(1,)), prev, vtf)
-    assert v.id1_alarm and v.id2_alarm
+    # ID_II is ID_I OR the innovation check: the decoder removes sensor 3, so
+    # the innovations stay under d, yet every window that ID_I flags alarms
+    tr = _sensor3_injection(vtf, start=20)
+    assert tr.innovation.max() <= tr.threshold_d
+    assert np.array_equal(tr.alarm_id2, tr.alarm_id1)
+    assert tr.alarm_counts() == (41, 41)
 
 
 def test_no_attack_innovation_within_threshold(vtf):
@@ -52,13 +65,22 @@ def test_no_attack_innovation_within_threshold(vtf):
 
 
 def test_id2_known_input_compensation(vtf):
-    prev = fake_result(vtf, [1.0, 2.0])
+    d = r.detector_threshold(vtf)
+    prev = np.array([1.0, 2.0])
     u = np.array([200.0])  # ||B u|| ~ 2, above the threshold d ~ .79
-    moved = vtf.A @ np.array([1.0, 2.0]) + vtf.B @ u
-    raw = r.id2(fake_result(vtf, moved), prev, vtf)
-    assert raw.id2_alarm  # without the input the jump looks like an attack
-    comp = r.id2(fake_result(vtf, moved), prev, vtf, known_input=u)
-    assert not comp.id2_alarm
+    moved = vtf.A @ prev + vtf.B @ u
+    # without the input the jump looks like an attack
+    assert r.innovation_check(vtf, moved, prev, d, None)[1]
+    innov, jump = r.innovation_check(vtf, moved, prev, d, u)
+    assert not jump and innov < 1e-12
+    # in closed loop the run compensates the input it applied: starting 5 off
+    # the reference, the first inputs move the state by far more than d
+    ref = make_reference(vtf, {"kind": "circle", "radius": 5.0, "angular_rate": 0.2}, 0.01)
+    tr = r.run_closed_loop(vtf, 300, r.NoiseSpec.zero(), controller_gain=np.array([[500.0, 40.0]]),
+                           reference=ref, x0=np.zeros(2))
+    raw, _ = r.innovation_check(vtf, tr.x_hat[1:], tr.x_hat[:-1], d, None)
+    assert raw.max() > 10 * d
+    assert tr.alarm_counts() == (0, 0) and tr.innovation.max() < 1e-9
 
 
 def test_innovation_check_stacked_rows_match_single_rows(vtf):
@@ -80,13 +102,11 @@ def test_id2_output_unchanged(vtf):
     d = r.detector_threshold(vtf)
     for _ in range(40):
         x_prev, x_hat, u = rng.normal(size=2), rng.normal(size=2), 100 * rng.normal(size=1)
-        v = r.id2(fake_result(vtf, x_hat), fake_result(vtf, x_prev), vtf, known_input=u)
-        # the single-row formula id2 has always used
-        innov = float(np.linalg.norm(x_hat - (vtf.A @ x_prev + vtf.B @ u)))
-        jump = innov > d + 1e-9 * (1.0 + float(np.linalg.norm(x_hat)))
-        assert type(v.id2_innovation) is float
-        assert v.id2_innovation == pytest.approx(innov, rel=1e-14)
-        assert (v.id1_alarm, v.id2_alarm, v.threshold_d) == (False, jump, d)
+        innov, jump = r.innovation_check(vtf, x_hat, x_prev, d, u)
+        # the single-row formula of the innovation check
+        expect = float(np.linalg.norm(x_hat - (vtf.A @ x_prev + vtf.B @ u)))
+        assert innov == pytest.approx(expect, rel=1e-14)
+        assert jump == (expect > d + 1e-9 * (1.0 + float(np.linalg.norm(x_hat))))
 
 
 def test_detector_names_have_one_parser(vtf, stable_two_state):

@@ -166,21 +166,6 @@ def test_witness_reverification_random():
     assert checked >= 10
 
 
-def test_max_sparse_observability():
-    # removing sensor 1 leaves two velocity sensors: position unobservable
-    assert r.max_sparse_observability(r.vtf_model()) == 0
-    # identity plant: a single remaining row never spans the state space
-    m = r.SystemModel(A=np.eye(2), B=None, C=np.eye(2), delta_w=0.0, N=2)
-    assert r.max_sparse_observability(m) == 0
-    one = r.SystemModel(A=[[0.3, 1.0], [0.0, 0.5]], B=None, C=[[1.0, 0.0]],
-                        delta_w=0.0, N=2)
-    assert r.max_sparse_observability(one) == 0
-    # four independent position sensors: any single removal is survivable
-    m4 = r.SystemModel(A=[[1.0, 0.1], [0.0, 1.0]], B=None,
-                       C=[[1, 0], [1, 0], [1, 0], [0, 1]], delta_w=0.0, N=2)
-    assert r.max_sparse_observability(m4) >= 1
-
-
 def test_full_O_always_rank_n():
     rng = np.random.default_rng(11)
     for _ in range(40):

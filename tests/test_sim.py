@@ -197,13 +197,17 @@ def _assert_matches_per_window(tr, noise, attack=None):
     dec = WindowDecoder(tr.model)
     results = [dec.decode(w) for w in _all_windows(tr, noise, attack)]
     assert np.array_equal(tr.x_hat, np.array([res.x_hat for res in results]))
-    prev = None
+    d = r.detector_threshold(tr.model)
+    assert tr.threshold_d == d
     for s, res in enumerate(results):
         assert tr.supports[s] == res.support
-        v = r.id2(res, prev, tr.model, known_input=tr.u[s - 1] if s else None)
-        assert (tr.alarm_id1[s], tr.alarm_id2[s]) == (v.id1_alarm, v.id2_alarm)
-        assert (tr.innovation[s] > tr.threshold_d) == (v.id2_innovation > v.threshold_d)
-        prev = res
+        # ID_II: ID_I OR the innovation check, vacuous for the first window
+        innov, jump = 0.0, False
+        if s:
+            innov, jump = r.innovation_check(tr.model, res.x_hat, results[s - 1].x_hat, d,
+                                             tr.u[s - 1])
+        assert (tr.alarm_id1[s], tr.alarm_id2[s]) == (r.id1(res), r.id1(res) or jump)
+        assert tr.innovation[s] == innov
     assert tr.supports_tested == sum(res.stats.supports_tested for res in results)
     assert tr.oracle_iterations == sum(res.stats.oracle_iterations for res in results)
     assert tr.indeterminate == sum(res.stats.indeterminate > 0 for res in results)
@@ -229,12 +233,18 @@ def test_batched_run_matches_per_window_decoding(vtf, stable_two_state):
     assert all(s.indices == (3,) for s in tr.supports)
     assert tr.alarm_counts() == (300, 300)
 
-    # delta_w = 0 leaves no margin inside Omega: every window falls back
+    # delta_w = 0: Omega is the zero residual, so exactly the windows whose
+    # fast-path residual is not exactly zero fall back
     tr = r.run_closed_loop(stable_two_state, 50, r.NoiseSpec.zero(), x0=np.array([1.0, -2.0]))
     _assert_matches_per_window(tr, r.NoiseSpec.zero())
-    _, fallback = WindowDecoder(stable_two_state).decode_batch(
-        np.stack([tr.y_delivered[s:s + 2].T.ravel() for s in range(tr.horizon - 1)]))
-    assert sorted(fallback) == list(range(tr.horizon - 1))
+    dec = WindowDecoder(stable_two_state)
+    Y = np.stack([tr.y_delivered[s:s + 2].T.ravel() for s in range(tr.horizon - 1)])
+    _, fallback = dec.decode_batch(Y)
+    X, _ = dec.fast_path(Y)
+    O = stable_two_state.O_full()
+    nonzero = [s for s, (y, x) in enumerate(zip(Y, X)) if (y - O @ x).any()]
+    assert sorted(fallback) == nonzero
+    assert 0 < len(fallback) < len(Y)
 
 
 def test_policy_mask_matches_schedule():
@@ -400,9 +410,12 @@ def _nan_at(t_bad, i_bad, value):
                                np.zeros((len(ts), 1)))}, "x_ref has a non-finite entry at step 7"),
     ({"reference": lambda ts: (np.zeros((len(ts), 2)), np.full((len(ts), 1), np.nan))},
      "u_ff has a non-finite entry at step 0"),
-], ids=["attack_nan", "attack_inf", "x0", "gain", "x_ref", "u_ff"])
+    ({"horizon": 10.5}, "horizon must be an integer, got 10.5"),
+], ids=["attack_nan", "attack_inf", "x0", "gain", "x_ref", "u_ff", "horizon_fraction"])
 def test_closed_loop_refuses_non_finite_inputs(vtf, kwargs, message):
-    # the run returned a NaN (or inf) max error with alarms (0, 0)
+    # the run returned a NaN (or inf) max error with alarms (0, 0); a
+    # fractional horizon ended in a TypeError traceback
     noise = r.NoiseSpec(kind="uniform_elementwise", lo=-.05, hi=.05, seed=1)
     with pytest.raises(r.ConfigError, match=message):
-        r.run_closed_loop(vtf, 200, noise, compromised=r.SensorSet.all(3), **kwargs)
+        r.run_closed_loop(vtf, **{"horizon": 200, "noise": noise,
+                                  "compromised": r.SensorSet.all(3), **kwargs})

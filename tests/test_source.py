@@ -96,9 +96,10 @@ def _resolve(names: list[str]):
     return obj
 
 
-def test_bench_names_exist():
-    # the bench reaches the library by name: a rename that it does not follow
-    # would fail only when the bench runs
+def _bench_names() -> set[tuple[str, ...]]:
+    """The library names the bench reaches, as name chains from rse_lab: the
+    names bench/run.py patches by string and the r.a.b chains of
+    bench/workloads.py."""
     wanted = set()
     for node in ast.walk(ast.parse((BENCH / "run.py").read_text())):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
@@ -109,6 +110,13 @@ def test_bench_names_exist():
     for node in ast.walk(ast.parse((BENCH / "workloads.py").read_text())):
         if isinstance(node, ast.Attribute) and _chain(node):
             wanted.add(tuple(_chain(node)))
+    return wanted
+
+
+def test_bench_names_exist():
+    # the bench reaches the library by name: a rename that it does not follow
+    # would fail only when the bench runs
+    wanted = _bench_names()
     assert ("sim", "AuthPolicy", "auth_set") in wanted and ("vtf_scenario",) in wanted
     missing = []
     for names in sorted(wanted):
@@ -117,3 +125,41 @@ def test_bench_names_exist():
         except (KeyError, AttributeError):
             missing.append("r." + ".".join(names))
     assert not missing, f"names the bench uses that rse_lab lacks: {missing}"
+
+
+def _names_read(nodes) -> set[str]:
+    """Names the nodes read or import from another module."""
+    found = set()
+    for tree in nodes:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                found |= {a.name for a in node.names}
+    return found
+
+
+def _defines(node, name: str) -> bool:
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name == name
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+
+
+def test_public_names_have_library_callers():
+    # a public name that only tests reach is a second copy of something, or
+    # dead: each one is read by another library module, by its own module
+    # outside its definition, or by the bench
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")
+             if p.stem not in ("__init__", "__main__")}
+    bench = {name for chain in _bench_names() for name in chain}
+    orphans = []
+    for stem, tree in sorted(trees.items()):
+        public = next((ast.literal_eval(node.value) for node in tree.body
+                       if isinstance(node, ast.Assign) and _defines(node, "__all__")), [])
+        others = _names_read(t for s, t in trees.items() if s != stem)
+        for name in public:
+            own = _names_read(node for node in tree.body if not _defines(node, name))
+            if name not in others | own | bench:
+                orphans.append(f"{stem}.{name}")
+    assert not orphans, f"public names with no caller in src/ or bench/: {orphans}"

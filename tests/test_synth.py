@@ -17,23 +17,28 @@ def run_and_check_stealth(model, plan, noise, policy=None, horizon=None):
 
 
 def test_single_step_attack_stable_two_state(stable_two_state):
-    K = r.SensorSet.all(1)
-    att = r.single_step_attack(stable_two_state, K, 5.0)
+    # the single-window attack is O (c z) on the pa_single_step witness z
+    ok, z = r.pa_single_step(stable_two_state, r.SensorSet.all(1))
+    assert ok
+    O = stable_two_state.O_full()
     x0 = np.array([0.3, 0.7])
-    res = r.decode(stable_two_state, stable_two_state.O_full() @ x0 + att)
+    res = r.decode(stable_two_state, O @ x0 + O @ (5.0 * z))
     assert res.support == r.SensorSet.empty(1)
     assert np.linalg.norm(res.x_hat - x0) == pytest.approx(5.0, abs=1e-9)
-    assert np.allclose(r.single_step_attack(stable_two_state, K, 0.0), 0.0)
 
 
 def test_single_step_attack_refuses_observable(vtf):
-    with pytest.raises(r.NotPerfectlyAttackable):
-        r.single_step_attack(vtf, r.SensorSet.empty(3), 1.0)
+    # no witness while a clean sensor set keeps observability: the position
+    # sensor 1 alone does, the velocity sensors 2 and 3 do not
+    for K in (r.SensorSet.empty(3), r.SensorSet.of([2, 3], 3)):
+        assert r.pa_single_step(vtf, K) == (False, None)
+    assert r.pa_single_step(vtf, r.SensorSet.of([1], 3))[0]
 
 
 def test_single_step_attack_vtf_error_floor(vtf):
-    K = r.SensorSet.all(3)
-    att = r.single_step_attack(vtf, K, 50.0)
+    ok, z = r.pa_single_step(vtf, r.SensorSet.all(3))
+    assert ok
+    att = vtf.O_full() @ (50.0 * z)
     noise = r.NoiseSpec(kind="uniform_elementwise", lo=-.05, hi=.05, seed=0)
     vP, vM = noise.draw(2, 2, 3)
     x0 = np.array([0.5, -0.5])
@@ -43,27 +48,6 @@ def test_single_step_attack_vtf_error_floor(vtf):
     assert res.support == r.SensorSet.empty(3)
     floor = 50.0 - vtf.O_pinv_norm() * 2 * np.sqrt(2) * vtf.delta_w
     assert np.linalg.norm(res.x_hat - x0) >= floor
-
-
-def test_stealth_slack_formula():
-    assert r.stealth_slack([0.0], 0.1, 4) == pytest.approx(0.2)
-    radius = np.sqrt(4) * 0.1
-    assert r.stealth_slack([radius], 0.1, 4) == pytest.approx(radius)
-    assert r.stealth_slack([0.05, 0.1], 0.1, 4) == pytest.approx(radius - 0.1)
-    assert r.stealth_slack([0.0], 0.0, 4) == 0.0
-    with pytest.raises(r.ConfigError):
-        r.stealth_slack([1.0], 0.1, 4)
-
-
-def test_stealth_slack_matches_recomputation(vtf):
-    noise = r.NoiseSpec(kind="uniform_elementwise", lo=-.05, hi=.05, seed=8)
-    vP, vM = noise.draw(10, 2, 3)
-    norms = []
-    for s in range(6):
-        w = np.stack([vM[s], vM[s + 1] + vtf.C @ vP[s]]).T.ravel()
-        norms.append(np.linalg.norm(w))
-    got = r.stealth_slack(norms, vtf.delta_w, vtf.N)
-    assert got == pytest.approx(np.sqrt(2) * vtf.delta_w - max(norms))
 
 
 def test_single_injection_plan(stable_two_state):
@@ -156,10 +140,11 @@ def test_sustained_rejects_bad_period_and_epsilon(vtf, stable_two_state):
         with pytest.raises(r.ConfigError, match="period must be >= 1"):
             r.sustained_attack(vtf, K, detector="II", horizon=300, noise=noise,
                                period=period)
-    # a fractional period or start was truncated to the integer below it
-    for kw in ({"period": 2.5}, {"start": 5.5}):
+    # a fractional period or start was truncated to the integer below it, and
+    # a fractional horizon ended in a TypeError traceback
+    for kw in ({"period": 2.5}, {"start": 5.5}, {"horizon": 300.5}):
         with pytest.raises(r.ConfigError, match="must be an integer"):
-            r.sustained_attack(vtf, K, detector="II", horizon=300, noise=noise, **kw)
+            r.sustained_attack(vtf, K, detector="II", noise=noise, **{"horizon": 300, **kw})
     for eps in (-1.0, float("nan")):
         with pytest.raises(r.ConfigError, match="epsilon must be >= 0"):
             r.sustained_attack(vtf, K, detector="II", horizon=300, noise=noise,
