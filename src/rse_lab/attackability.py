@@ -179,10 +179,16 @@ def policy_prevents_pa(model: SystemModel, compromised: SensorSet, policy,
     period-decimated stack [P_F C; P_F C A^T; ...] must keep full rank; the
     boundedness argument rests on inverting it, so it is checked explicitly and
     reported when observability alone would have passed.
+    A compromised set that the detector's over-time analysis already clears
+    is "prevented" outright, with that analysis's report under checks.
     """
     det = detector_name(detector)
     model.check_sensor_sets(compromised=compromised, auth_subset=auth_subset,
                             policy=None if policy is None else policy.sensors)
+    over_time = pa_over_time_id2 if det == "II" else pa_over_time_id1
+    if not (verdict := over_time(model, compromised)):
+        return PolicyVerdict(True, "not perfectly attackable without authentication",
+                             {over_time.__name__: verdict.to_report()})
     checks: dict = {}
     if len(auth_subset) == 0:
         return PolicyVerdict(False, "empty authentication subset", checks)

@@ -10,11 +10,13 @@ come in two constructions:
 * noise-slack ramped attacks for the innovation-checking detector: small
   injections hidden inside the per-step noise budget, each propagated through
   the plant dynamics along an unstable eigenvector or generalized-eigenvector
-  chain.  By linearity the injections superpose, so the builder keeps a ledger
-  of committed per-window noise deviations (_SlackLedger) and sizes every new
-  injection against the remaining realized slack of each window slot.  Under an authentication policy the
-  injection pattern between consecutive enforcement times is projected onto
-  the subspace that returns the attacker state to zero exactly at enforcement.
+  chain.  The injections superpose, so a ledger of committed per-window-slot
+  noise deviations (_SlackLedger) sizes each one greedily against the slack
+  the earlier ones left.  An injection reaches only the slots of the N - 1
+  windows before it, so units whose slots do not overlap are sized and
+  committed as one array batch.  Under an authentication policy each segment
+  between enforcement times is a unit that returns the attacker state to
+  zero exactly at the next one.
 
 Growth is genuinely unbounded, so plans outlive double precision eventually:
 once the injected error exceeds roughly delta_w / machine-epsilon (~1e14 for
@@ -33,26 +35,12 @@ import numpy as np
 
 from .attackability import pa_over_time_id1, pa_over_time_id2
 from .detectors import detector_name
-from .model import (
-    ConfigError,
-    SensorSet,
-    SystemModel,
-    as_int,
-    build_overlap_stack,
-    build_O,
-    matvec_rows,
-    null_basis,
-    rank_with_tol,
-    unstable_chain,
-    unstable_eigenstructure,
-)
+from .model import (ConfigError, SensorSet, SystemModel, as_int, build_O, build_overlap_stack,
+                    matvec_rows, null_basis, rank_with_tol, unstable_chain,
+                    unstable_eigenstructure)
 from .sim import AuthPolicy, NoiseSpec, effective_window_noise
 
-__all__ = [
-    "NotPerfectlyAttackable",
-    "AttackPlan",
-    "sustained_attack",
-]
+__all__ = ["NotPerfectlyAttackable", "AttackPlan", "sustained_attack"]
 
 SLACK_SHARE = 0.5  # share of each window slot's realized noise slack a ramp may spend
 
@@ -99,22 +87,32 @@ class AttackPlan:
     @classmethod
     def from_csv(cls, text: str, compromised: SensorSet,
                  detector: str = "I") -> "AttackPlan":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or not rows[0] or rows[0][0] != "t":
+        """Read to_csv's format.  A row whose width differs from the header's,
+        a time that is not an integer or repeats, or an entry that is not a
+        number raises ConfigError naming the line."""
+        reader = csv.reader(io.StringIO(text))
+        header = next(reader, None)
+        if not header or header[0] != "t":
             raise ConfigError("attack CSV must start with header t,a_1..a_p")
-        p = len(rows[0]) - 1
-        times = []
-        vals = []
-        for r in rows[1:]:
+        p = len(header) - 1
+        rows: dict = {}
+        for r in reader:
             if not r:
                 continue
-            times.append(int(r[0]))
-            vals.append([float(v) for v in r[1:]])
-        if not times:
-            return cls(np.zeros((0, p)), 0, compromised, detector)
-        t0, t1 = min(times), max(times)
-        entries = np.zeros((t1 - t0 + 1, p))
-        for t, v in zip(times, vals):
+            where = f"attack CSV line {reader.line_num}"
+            if len(r) != p + 1:
+                raise ConfigError(f"{where} has {len(r)} fields, the header {p + 1}")
+            try:
+                t, vals = int(r[0]), [float(v) for v in r[1:]]
+            except ValueError:
+                raise ConfigError(f"{where}: need an integer time and numbers, "
+                                  f"got {','.join(r)}") from None
+            if t in rows:
+                raise ConfigError(f"{where} repeats the time t={t}")
+            rows[t] = vals
+        t0 = min(rows, default=0)
+        entries = np.zeros((max(rows, default=t0 - 1) - t0 + 1, p))
+        for t, v in rows.items():
             entries[t - t0] = v
         return cls(entries, t0, compromised, detector)
 
@@ -135,23 +133,16 @@ class _ChainBasis:
                 "no unstable eigenvector inside the clean sensors' null space")
         lam, chain = hit
         if isinstance(lam, complex):
-            plane = chain[0]
-            self.V = plane
-            a, b = lam.real, lam.imag
-            self.J = np.array([[a, b], [-b, a]])
-            self.q = 2
+            self.V = chain[0]
+            self.J = np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
             self.growing = abs(lam) > 1.0 + 1e-12
         else:
-            V = np.stack(chain, axis=1)
-            q = V.shape[1]
-            J = np.eye(q) * lam
-            for j in range(1, q):
-                J[j - 1, j] = 1.0
-            self.V = V
-            self.J = J
-            self.q = q
-            self.growing = (abs(lam) > 1.0 + 1e-12) or q >= 2
-        self.lam = lam
+            self.V = np.stack(chain, axis=1)
+            self.J = np.eye(len(chain)) * lam
+            for j in range(1, len(chain)):
+                self.J[j - 1, j] = 1.0
+            self.growing = (abs(lam) > 1.0 + 1e-12) or len(chain) >= 2
+        self.q = self.V.shape[1]
         # the whole propagated trajectory must stay invisible to clean sensors
         O_clean = build_O(model, compromised.complement())
         if O_clean.shape[0]:
@@ -161,56 +152,86 @@ class _ChainBasis:
                     "witness chain leaks onto clean sensors; cannot propagate")
 
     def tail(self) -> np.ndarray:
-        e = np.zeros(self.q)
-        e[-1] = 1.0
-        return e
+        return np.eye(self.q)[-1]
 
 
-def _max_scale(base: np.ndarray, add: np.ndarray, allowed: float) -> float:
-    """Largest c >= 0 with ||base + c add|| <= allowed."""
-    a = float(add @ add)
-    if a < 1e-300:
-        return np.inf
-    b = float(base @ add)
-    cquad = float(base @ base) - allowed * allowed
-    disc = b * b - a * cquad
-    if disc <= 0:
-        return 0.0
-    root = (-b + np.sqrt(disc)) / a
-    return max(0.0, root)
+def _max_scale(base: np.ndarray, add: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Per row, the largest c >= 0 with ||base + c add|| <= allowed (inf where
+    add ~ 0).  The dot products are batched (1, p) @ (p, 1) matmuls, which give
+    every row the bits of its own scalar x @ y; einsum need not."""
+    def dot(X, Y):
+        return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
+    a, b = dot(add, add), dot(base, add)
+    disc = b * b - a * (dot(base, base) - allowed * allowed)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = (-b + np.sqrt(disc)) / a
+    return np.where(a < 1e-300, np.inf, np.where(disc <= 0, 0.0, np.where(root > 0, root, 0.0)))
 
 
 class _SlackLedger:
-    """Tracks committed per-(window, slot) noise deviations against budgets."""
+    """Committed per-(window, slot) noise deviations against per-slot budgets.
+
+    An injection v at time tau deviates the slots (s, k) with s < tau <= s + k
+    by C A^{s+k-tau} v.  The methods take arrays of times and (m, n) vectors
+    and give the bits of one injection at a time in time order (a slot sums
+    its deviations in time order from 0.0); greedy sizes units whose slots
+    do not overlap in one batch, so a VTF ramp is a single batch.
+    """
 
     def __init__(self, model: SystemModel, w_eff: np.ndarray):
         self.C, self.powers, self.N = model.C, model.powers(), model.N
         self.S = w_eff.shape[0]
-        self.base = w_eff.copy()              # noise + committed deviations
-        norms = np.linalg.norm(w_eff, axis=2)
-        dw = model.delta_w
+        # noise + committed deviations, one row per slot s * N + k
+        self.base = w_eff.reshape(-1, w_eff.shape[2]).copy()
+        norms, dw = np.linalg.norm(w_eff, axis=2), model.delta_w
         # consume at most SLACK_SHARE of each slot's realized slack
-        self.allowed = np.minimum(norms + SLACK_SHARE * np.maximum(dw - norms, 0.0), dw)
+        self.allowed = np.minimum(norms + SLACK_SHARE * np.maximum(dw - norms, 0.0), dw).ravel()
 
-    def _deviations(self, taus, vecs) -> dict:
-        """(s, k) -> summed noise deviation C A^{s+k-tau} v of the injections
-        (tau, v) on every window slot they reach."""
-        adds: dict = {}
-        for tau, vec in zip(taus, vecs):
-            for s in range(max(0, tau - self.N + 1), min(tau, self.S)):
-                for k in range(tau - s, self.N):
-                    adds[s, k] = adds.get((s, k), 0.0) + self.C @ (self.powers[s + k - tau] @ vec)
-        return adds
+    def _deviations(self, taus: np.ndarray, V: np.ndarray):
+        """Injection rows, slot rows and deviations C A^j v of every slot reached,
+        lag j = s + k - tau from N - 2 down to 0, so a slot meets them in time order."""
+        out = []
+        for j in range(self.N - 2, -1, -1):
+            s = taus[:, None] + j - np.arange(j + 1, self.N)   # slot k = j + 1 + column
+            rows, col = np.nonzero((s >= 0) & (s < self.S))
+            out.append((rows, s[rows, col] * self.N + col + j + 1,
+                        matvec_rows(self.C, matvec_rows(self.powers[j], V))[rows]))
+        return (np.concatenate(x) for x in zip(*out))
 
-    def scale(self, taus, vecs) -> float:
-        """Largest shared scale c >= 0 for the injections (tau, c v)."""
-        c = min((_max_scale(self.base[sk], add, self.allowed[sk])
-                 for sk, add in self._deviations(taus, vecs).items()), default=np.inf)
-        return 0.0 if not np.isfinite(c) else c
+    def scale(self, taus: np.ndarray, V: np.ndarray, unit: np.ndarray) -> np.ndarray:
+        """Largest scale c >= 0 each unit can share (0 where nothing bounds
+        it); unit[i] = 0, 1, ... is injection i's unit, units reach disjoint slots."""
+        rows, slot, D = self._deviations(taus, V)
+        lo, hi = slot.min(), slot.max() + 1     # slot rows lo..hi-1; unreached ones add 0
+        add = np.zeros((hi - lo, D.shape[1]))
+        np.add.at(add, slot - lo, D)
+        fit = _max_scale(self.base[lo:hi], add, self.allowed[lo:hi])
+        c = np.full(unit[-1] + 1, np.inf)
+        np.minimum.at(c, unit[rows], fit[slot - lo])
+        return np.where(np.isfinite(c), c, 0.0)
 
-    def commit(self, tau: int, vec: np.ndarray) -> None:
-        for sk, add in self._deviations([tau], [vec]).items():
-            self.base[sk] += add
+    def commit(self, taus: np.ndarray, V: np.ndarray) -> None:
+        _, slot, D = self._deviations(taus, V)
+        np.add.at(self.base, slot, 0.0 + D)
+
+    def greedy(self, taus: np.ndarray, V: np.ndarray, unit: np.ndarray,
+               cap: float) -> np.ndarray:
+        """Scale every unit in turn by the largest c <= cap the slack left by
+        the units before it allows, commit it, and return each injection's
+        scale.  Units whose slots do not overlap are sized in one batch."""
+        if self.N < 2 or not len(taus):     # no injection reaches a slot
+            return np.zeros(len(taus))
+        first = np.flatnonzero(np.diff(unit, prepend=-1))
+        # an injection at tau reaches the slots of windows tau-N+1 .. tau-1, so a
+        # unit starting N - 1 or more steps after the one before it joins its batch
+        opens = first[np.append(True, taus[first[1:]] - taus[first[1:] - 1] < self.N - 1)]
+        c = np.zeros(len(taus))
+        for r0, r1 in zip(opens, np.append(opens[1:], len(taus))):
+            u = unit[r0:r1] - unit[r0]
+            c[r0:r1] = np.minimum(self.scale(taus[r0:r1], V[r0:r1], u), cap)[u]
+            live = r0 + np.flatnonzero(c[r0:r1] > 0)
+            self.commit(taus[live], c[live, None] * V[live])
+        return c
 
 
 def _reset_times(policy: Optional[AuthPolicy], compromised: SensorSet,
@@ -221,14 +242,10 @@ def _reset_times(policy: Optional[AuthPolicy], compromised: SensorSet,
     return list(range(start + (policy.phase - start) % policy.period, t_end, policy.period))
 
 
-def sustained_attack(model: SystemModel, compromised: SensorSet, *,
-                     detector: str = "II",
-                     horizon: int,
-                     noise: Optional[NoiseSpec] = None,
-                     policy: Optional[AuthPolicy] = None,
-                     start: Optional[int] = None,
-                     epsilon: Optional[float] = None,
-                     period: int = 1) -> AttackPlan:
+def sustained_attack(model: SystemModel, compromised: SensorSet, *, detector: str = "II",
+                     horizon: int, noise: Optional[NoiseSpec] = None,
+                     policy: Optional[AuthPolicy] = None, start: Optional[int] = None,
+                     epsilon: Optional[float] = None, period: int = 1) -> AttackPlan:
     """Build a stealthy over-time attack plan for `horizon` decoded steps.
 
     No entry is nonzero before `start` (default N - 1, the first step that
@@ -264,19 +281,14 @@ def sustained_attack(model: SystemModel, compromised: SensorSet, *,
         raise ConfigError("attack start beyond plan horizon")
 
     F = build_overlap_stack(model, compromised)
-    branch_a = rank_with_tol(F) < model.n
-
-    if det == "I" and branch_a and (policy is None or not _reset_times(policy, compromised, 0, T_meas)):
-        verdict = pa_over_time_id1(model, compromised)
-        if not verdict:
-            raise NotPerfectlyAttackable(verdict.notes)
-        eta = 100.0 if epsilon is None else float(epsilon)
-        return _cold_start_plan(model, compromised, F, horizon, eta, t0)
-
-    verdict = pa_over_time_id2(model, compromised) if det == "II" \
-        else pa_over_time_id1(model, compromised)
+    cold = det == "I" and rank_with_tol(F) < model.n and not _reset_times(
+        policy, compromised, 0, T_meas)
+    verdict = (pa_over_time_id2 if det == "II" else pa_over_time_id1)(model, compromised)
     if not verdict:
         raise NotPerfectlyAttackable(verdict.notes)
+    if cold:
+        eta = 100.0 if epsilon is None else float(epsilon)
+        return _cold_start_plan(model, compromised, F, horizon, eta, t0)
     if noise is None:
         raise ConfigError("ramped synthesis needs the scenario noise stream")
     return _ramped_plan(model, compromised, det, horizon, noise, policy, t0,
@@ -295,8 +307,12 @@ def _roll_forward(model: SystemModel, compromised: SensorSet, inj: np.ndarray,
     zeta_hist = np.zeros_like(inj)
     zeta = np.zeros(model.n)
     reset_set = set(resets)
-    for t in range(len(inj)):
-        zeta = zeta + inj[t]
+    # zeta is zero before the first nonzero injection; starting one step
+    # early hands that injection the same A @ 0 as a loop from t = 0
+    active = np.flatnonzero(inj.any(axis=1))
+    start = max(int(active[0]) - 1, 0) if active.size else len(inj)
+    for t, row in enumerate(inj[start:], start):
+        zeta = zeta + row
         if t in reset_set:
             # the pattern was solved to land exactly on zero; snap the float dust
             if np.linalg.norm(zeta) > 1e-6:
@@ -342,81 +358,65 @@ def _cold_start_plan(model: SystemModel, compromised: SensorSet, F: np.ndarray,
                       notes=f"cold start through null(F), eta={eta:g}, drive gain={gain:g}")
 
 
-def _half_and_half(g: int) -> np.ndarray:
-    """Base sawtooth pattern: build up, then tear down."""
-    c = np.ones(g)
-    c[g // 2:] = -1.0
-    return c
-
-
 def _ramped_plan(model: SystemModel, compromised: SensorSet, det: str,
                  horizon: int, noise: NoiseSpec, policy: Optional[AuthPolicy],
                  t0: int, period: int, eps_cap: Optional[float]) -> AttackPlan:
-    N, p, n = model.N, model.p, model.n
-    T_meas = horizon + N - 1
+    T_meas = horizon + model.N - 1
     basis = _ChainBasis(model, compromised)
     if not basis.growing:
         raise NotPerfectlyAttackable(
             "witness eigenvalue on the unit circle without a usable chain: "
             "the propagated attack stays bounded")
-
-    vP, vM = noise.draw(T_meas, n, p)
-    ledger = _SlackLedger(model, effective_window_noise(model, vP, vM, horizon))
     tail_dir = basis.V @ basis.tail()
-
     resets = _reset_times(policy, compromised, t0, T_meas)
-    injections: list[tuple[int, np.ndarray]] = []
-
+    cap = np.inf
     if not resets:
-        # free-running growth: greedy injections, each inside the remaining slack
-        for tau in range(t0, T_meas, period):
-            c = ledger.scale([tau], [tail_dir])
-            if eps_cap is not None:
-                c = min(c, eps_cap / max(1e-300, float(np.linalg.norm(
-                    model.O_full() @ tail_dir))))
-            if c <= 0:
-                continue
-            vec = c * tail_dir
-            ledger.commit(tau, vec)
-            injections.append((tau, vec))
+        # free-running growth: every injection is a unit of its own
+        taus = np.arange(t0, T_meas, period)
+        coef, unit = np.ones(len(taus)), np.arange(len(taus))
+        if eps_cap is not None:
+            cap = eps_cap / max(1e-300, float(np.linalg.norm(model.O_full() @ tail_dir)))
     else:
-        # sawtooth: every segment must return the attacker state to zero at
-        # the next enforcement time
+        # sawtooth: the injections between two enforcement times form a unit
         bounds = [t0] + resets + [T_meas]
+        seg_taus, shapes, patterns = [np.zeros(0, dtype=int)], [np.zeros(0)], {}
         for seg in range(len(bounds) - 1):
-            lo = bounds[seg] + (1 if seg > 0 else 0)
-            hi = bounds[seg + 1]          # next enforcement time (or plan end)
-            is_final = seg == len(bounds) - 2
-            taus = [t for t in range(lo, min(hi, T_meas)) if t >= t0]
-            if len(taus) <= basis.q:
-                continue
-            shape = _half_and_half(len(taus))
-            if not is_final:
-                # constraint: sum_tau J^{hi - tau} e_q c_tau = 0 (exact zero at hi)
-                M = np.stack([np.linalg.matrix_power(basis.J, hi - tau) @ basis.tail()
-                              for tau in taus], axis=1)
-                proj = shape - np.linalg.pinv(M) @ (M @ shape)
-                if np.linalg.norm(proj) < 1e-12:
-                    continue
-                shape = proj
-            vecs = [s * tail_dir for s in shape]
-            scale = ledger.scale(taus, vecs)
-            if scale <= 0:
-                continue
-            for tau, v in zip(taus, vecs):
-                vec = scale * v
-                ledger.commit(tau, vec)
-                injections.append((tau, vec))
-
-    if not injections:
+            lo, hi = bounds[seg] + (seg > 0), bounds[seg + 1]   # hi: enforcement or plan end
+            offsets = tuple(range(hi - lo, 0, -1))
+            # a pattern depends on the offsets hi - tau alone: segments share it
+            key = offsets, seg == len(bounds) - 2
+            if key not in patterns:
+                patterns[key] = _sawtooth_pattern(basis, *key)
+            if patterns[key] is not None:
+                seg_taus.append(hi - np.array(offsets))
+                shapes.append(patterns[key])
+        taus, coef = np.concatenate(seg_taus), np.concatenate(shapes)
+        unit = np.repeat(np.arange(len(seg_taus) - 1), [len(t) for t in seg_taus[1:]])
+    V = coef[:, None] * tail_dir
+    # the ledger, and the noise it holds, go as soon as the units are sized
+    c = _SlackLedger(model, effective_window_noise(
+        model, *noise.draw(T_meas, model.n, model.p), horizon)).greedy(taus, V, unit, cap)
+    if not np.any(c > 0):
         raise NotPerfectlyAttackable("no admissible injection found (no noise slack)")
-
-    inj = np.zeros((T_meas, n))
-    for tau, vec in injections:
-        inj[tau] += vec
+    taus, vecs = taus[c > 0], c[c > 0, None] * V[c > 0]
+    inj = np.zeros((T_meas, model.n))
+    inj[taus] += vecs
     entries, zeta_hist = _roll_forward(model, compromised, inj, resets, 1e-9, 1e-9, "ramped")
-    eps0 = float(np.linalg.norm(model.O_full() @ injections[0][1]))
-    return AttackPlan(entries, 0, compromised, det, epsilon=eps0, zeta=zeta_hist,
-                      injections=injections,
-                      notes=f"noise-slack ramp, {len(injections)} injections, "
-                            f"resets={len(resets)}")
+    return AttackPlan(entries, 0, compromised, det, zeta=zeta_hist,
+                      epsilon=float(np.linalg.norm(model.O_full() @ vecs[0])),
+                      injections=list(zip(taus.tolist(), vecs)),
+                      notes=f"noise-slack ramp, {len(taus)} injections, resets={len(resets)}")
+
+
+def _sawtooth_pattern(basis: _ChainBasis, offsets: tuple, final: bool) -> Optional[np.ndarray]:
+    """Coefficients at the times hi - offsets: build up, tear down and, but in
+    the final segment, return the state to zero at hi; None if there is none."""
+    if len(offsets) <= basis.q:
+        return None
+    shape = np.where(np.arange(len(offsets)) < len(offsets) // 2, 1.0, -1.0)
+    if final:
+        return shape
+    # constraint: sum_tau J^{hi - tau} e_q c_tau = 0 (exact zero at hi)
+    M = np.stack([np.linalg.matrix_power(basis.J, o) @ basis.tail() for o in offsets], axis=1)
+    shape = shape - np.linalg.pinv(M) @ (M @ shape)
+    return None if np.linalg.norm(shape) < 1e-12 else shape

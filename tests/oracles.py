@@ -127,3 +127,170 @@ def min_direction_on_grid(M, n, count=20000):
     vals = np.linalg.norm(Z @ M.T, axis=1)
     k = int(np.argmin(vals))
     return Z[k], float(vals[k])
+
+
+# -- stealthy ramp synthesis, one injection at a time ----------------------------
+#
+# The greedy ramp as it was built before the slack ledger worked on arrays: a
+# dict of per-(window, slot) deviations, a scalar _max_scale per slot, one
+# scale() and commit() per injection, and the full-length roll-forward.  The
+# batched synth._ramped_plan must reproduce its plans byte for byte.
+
+def max_scale_scalar(base, add, allowed):
+    """Largest c >= 0 with ||base + c add|| <= allowed."""
+    a = float(add @ add)
+    if a < 1e-300:
+        return np.inf
+    b = float(base @ add)
+    cquad = float(base @ base) - allowed * allowed
+    disc = b * b - a * cquad
+    if disc <= 0:
+        return 0.0
+    root = (-b + np.sqrt(disc)) / a
+    return max(0.0, root)
+
+
+class DictSlackLedger:
+    """Tracks committed per-(window, slot) noise deviations against budgets."""
+
+    def __init__(self, model, w_eff):
+        from rse_lab.synth import SLACK_SHARE
+        self.C, self.powers, self.N = model.C, model.powers(), model.N
+        self.S = w_eff.shape[0]
+        self.base = w_eff.copy()
+        norms = np.linalg.norm(w_eff, axis=2)
+        dw = model.delta_w
+        self.allowed = np.minimum(norms + SLACK_SHARE * np.maximum(dw - norms, 0.0), dw)
+
+    def _deviations(self, taus, vecs):
+        adds = {}
+        for tau, vec in zip(taus, vecs):
+            for s in range(max(0, tau - self.N + 1), min(tau, self.S)):
+                for k in range(tau - s, self.N):
+                    adds[s, k] = adds.get((s, k), 0.0) + self.C @ (self.powers[s + k - tau] @ vec)
+        return adds
+
+    def scale(self, taus, vecs):
+        c = min((max_scale_scalar(self.base[sk], add, self.allowed[sk])
+                 for sk, add in self._deviations(taus, vecs).items()), default=np.inf)
+        return 0.0 if not np.isfinite(c) else c
+
+    def commit(self, tau, vec):
+        for sk, add in self._deviations([tau], [vec]).items():
+            self.base[sk] += add
+
+
+def roll_forward_full(model, compromised, inj, resets, atol, rtol, what):
+    """synth._roll_forward, stepping the generator from t = 0."""
+    from rse_lab.model import matvec_rows
+    from rse_lab.synth import NotPerfectlyAttackable
+    zeta_hist = np.zeros_like(inj)
+    zeta = np.zeros(model.n)
+    reset_set = set(resets)
+    for t in range(len(inj)):
+        zeta = zeta + inj[t]
+        if t in reset_set:
+            if np.linalg.norm(zeta) > 1e-6:
+                raise NotPerfectlyAttackable(
+                    f"sawtooth failed to reset the attacker state at enforcement time t={t}")
+            zeta = np.zeros(model.n)
+        zeta_hist[t] = zeta
+        zeta = model.A @ zeta
+    entries = matvec_rows(model.C, zeta_hist)
+    clean = np.ones(model.p, dtype=bool)
+    clean[list(compromised.indices0)] = False
+    leak = np.abs(entries[:, clean]).max(axis=1, initial=0.0)
+    if np.any(leak > np.maximum(atol, rtol * np.linalg.norm(entries, axis=1))):
+        raise NotPerfectlyAttackable(f"{what} propagation leaks onto clean sensors")
+    entries[:, clean] = 0.0
+    return entries, zeta_hist
+
+
+def ramped_plan_greedy(model, compromised, det, horizon, noise, policy, t0,
+                       period, eps_cap):
+    """synth._ramped_plan with one scale() and commit() per injection."""
+    from rse_lab.sim import effective_window_noise
+    from rse_lab.synth import AttackPlan, NotPerfectlyAttackable, _ChainBasis, _reset_times
+    N, p, n = model.N, model.p, model.n
+    T_meas = horizon + N - 1
+    basis = _ChainBasis(model, compromised)
+    if not basis.growing:
+        raise NotPerfectlyAttackable(
+            "witness eigenvalue on the unit circle without a usable chain: "
+            "the propagated attack stays bounded")
+    vP, vM = noise.draw(T_meas, n, p)
+    ledger = DictSlackLedger(model, effective_window_noise(model, vP, vM, horizon))
+    tail_dir = basis.V @ basis.tail()
+    resets = _reset_times(policy, compromised, t0, T_meas)
+    injections = []
+    if not resets:
+        for tau in range(t0, T_meas, period):
+            c = ledger.scale([tau], [tail_dir])
+            if eps_cap is not None:
+                c = min(c, eps_cap / max(1e-300, float(np.linalg.norm(
+                    model.O_full() @ tail_dir))))
+            if c <= 0:
+                continue
+            vec = c * tail_dir
+            ledger.commit(tau, vec)
+            injections.append((tau, vec))
+    else:
+        bounds = [t0] + resets + [T_meas]
+        for seg in range(len(bounds) - 1):
+            lo = bounds[seg] + (1 if seg > 0 else 0)
+            hi = bounds[seg + 1]
+            is_final = seg == len(bounds) - 2
+            taus = [t for t in range(lo, min(hi, T_meas)) if t >= t0]
+            if len(taus) <= basis.q:
+                continue
+            shape = np.ones(len(taus))   # build up, then tear down
+            shape[len(taus) // 2:] = -1.0
+            if not is_final:
+                M = np.stack([np.linalg.matrix_power(basis.J, hi - tau) @ basis.tail()
+                              for tau in taus], axis=1)
+                proj = shape - np.linalg.pinv(M) @ (M @ shape)
+                if np.linalg.norm(proj) < 1e-12:
+                    continue
+                shape = proj
+            vecs = [s * tail_dir for s in shape]
+            scale = ledger.scale(taus, vecs)
+            if scale <= 0:
+                continue
+            for tau, v in zip(taus, vecs):
+                vec = scale * v
+                ledger.commit(tau, vec)
+                injections.append((tau, vec))
+    if not injections:
+        raise NotPerfectlyAttackable("no admissible injection found (no noise slack)")
+    inj = np.zeros((T_meas, n))
+    for tau, vec in injections:
+        inj[tau] += vec
+    entries, zeta_hist = roll_forward_full(model, compromised, inj, resets, 1e-9, 1e-9,
+                                           "ramped")
+    eps0 = float(np.linalg.norm(model.O_full() @ injections[0][1]))
+    return AttackPlan(entries, 0, compromised, det, epsilon=eps0, zeta=zeta_hist,
+                      injections=injections,
+                      notes=f"noise-slack ramp, {len(injections)} injections, "
+                            f"resets={len(resets)}")
+
+
+def sustained_attack_greedy(*args, **kwargs):
+    """synth.sustained_attack with the ramp built by ramped_plan_greedy."""
+    from unittest import mock
+
+    from rse_lab import synth
+    with mock.patch.object(synth, "_ramped_plan", ramped_plan_greedy):
+        return synth.sustained_attack(*args, **kwargs)
+
+
+def plan_outcome(build, *args, **kwargs):
+    """Everything a plan or a refusal shows, as bytes and plain values, so two
+    builders can be compared for equality."""
+    try:
+        plan = build(*args, **kwargs)
+    except Exception as exc:  # the refusal is part of the outcome
+        return ("refused", type(exc).__name__, str(exc))
+    return ("plan", plan.offset, plan.entries.shape, plan.entries.tobytes(),
+            None if plan.zeta is None else plan.zeta.tobytes(),
+            [(type(t).__name__, int(t), np.asarray(v).tobytes()) for t, v in plan.injections],
+            plan.epsilon, plan.notes, plan.target_detector)

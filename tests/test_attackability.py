@@ -197,3 +197,26 @@ def test_sensor_sets_sized_for_another_model_are_refused(vtf, call):
     # ValueError or an IndexError, or silently read sensor 4 as absent
     with pytest.raises(r.ConfigError, match=r"sized for 4 sensors, but the model has 3"):
         call(vtf)
+
+
+def test_policy_verdict_reads_the_compromised_set():
+    # rotation by pi/4, sensors x1, x2 and x1 + x2, authentication of sensor 1:
+    # at period 4 both eigenvalues have lambda^4 = -1 and the decimated stack
+    # loses rank, so the worst case (every sensor compromised) is not
+    # prevented.  A set that no over-time attack reaches was reported "not
+    # prevented" all the same.
+    th = np.pi / 4
+    m = r.SystemModel(A=[[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]], B=None,
+                      C=[[1, 0], [0, 1], [1, 1]], delta_w=0.1, N=2)
+    pol, F = r.AuthPolicy.periodic([1], 4, 3), r.SensorSet.of([1], 3)
+    for det, name in (("II", "pa_over_time_id2"), ("I", "pa_over_time_id1")):
+        for K in (r.SensorSet.empty(3), r.SensorSet.of([2], 3)):
+            v = r.policy_prevents_pa(m, K, pol, F, det)
+            assert v.prevented, (det, K)
+            assert v.reason == "not perfectly attackable without authentication"
+            assert v.checks == {name: getattr(r, name)(m, K).to_report()}
+            assert v.checks[name]["attackable"] is False
+        v = r.policy_prevents_pa(m, r.SensorSet.all(3), pol, F, det)
+        assert not v.prevented and v.reason == "decimated stack rank deficient for this period"
+        assert r.policy_prevents_pa(m, r.SensorSet.all(3), r.AuthPolicy.periodic([1], 3, 3),
+                                    F, det).prevented

@@ -426,3 +426,38 @@ def test_analyze_reads_every_detector_name(tmp_path, capsys):
     assert codes == {"II": 0, "2": 0, "ID_II": 0, "id_ii": 0, 2: 0,
                      "I": 2, "1": 2, "ID_I": 2, "foo": 1}
     assert "unknown detector 'foo'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, message", [
+    # a short row was broadcast to every sensor: 5,3.0 read as [3, 3, 3]
+    ("4,0,0,0\n5,3.0\n", "line 3 has 2 fields, the header 4"),
+    ("4,0,0,0\n5,1,2,3,4\n", "line 3 has 5 fields, the header 4"),
+    # a repeated time kept its last row without notice
+    ("4,0,0,0\n5,1,1,1\n5,2,2,2\n", "line 4 repeats the time t=5"),
+    # a fractional time or a word ended in a bare int() ValueError
+    ("4,0,0,0\n5.5,1,1,1\n", "line 3: need an integer time"),
+    ("4,0,0,0\n5,1,x,1\n", "line 3: need an integer time and numbers"),
+])
+def test_attack_csv_refuses_malformed_rows(tmp_path, capsys, rows, message):
+    K = r.SensorSet.all(3)
+    text = "t,a_1,a_2,a_3\n" + rows
+    with pytest.raises(r.ConfigError, match=f"attack CSV {message}"):
+        r.AttackPlan.from_csv(text, K)
+    plan_csv = tmp_path / "plan.csv"
+    plan_csv.write_text(text)
+    doc = {
+        "system": {"A": [[1, .01], [0, 1]], "B": [[.0001], [.01]],
+                   "C": [[1, 0], [0, 1], [0, 1]], "N": 2, "delta_w": "auto"},
+        "noise": {"kind": "uniform_elementwise", "lo": -0.05, "hi": 0.05, "seed": 0},
+        "compromised": [1, 2, 3],
+        "attack": {"source": "file", "path": str(plan_csv)},
+        "horizon": {"steps": 50},
+        "dt": 0.01,
+    }
+    cfg = tmp_path / "replay.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(["simulate", "--config", str(cfg)]) == 1
+    assert f"attack CSV {message}" in capsys.readouterr().err
+    # blank lines are still skipped, and a well-formed file still reads
+    plan = r.AttackPlan.from_csv("t,a_1,a_2,a_3\n\n4,0,0,0\n\n6,1,2,3\n", K)
+    assert plan.offset == 4 and plan.entries.tolist() == [[0, 0, 0], [0, 0, 0], [1, 2, 3]]

@@ -367,3 +367,55 @@ def test_cold_start_refuses_entries_before_start(vtf):
     with pytest.raises(r.NotPerfectlyAttackable,
                        match=r"nonzero at t=4, before its start t0=5"):
         _cold_start_plan(vtf, r.SensorSet.all(3), F, 20, 10.0, 5)
+
+
+def _ramp_cases():
+    """(label, model, compromised, keyword arguments) for the batched-ramp
+    equivalence test: the VTF plans the benchmark and fig3 build, the
+    epsilon cap and a sparser period, and random models with N = 3 and 4
+    whose consecutive injections (and, for N = 4, sawtooth segments) reach
+    shared window slots."""
+    from conftest import random_observable_model
+    vtf = r.vtf_model()
+    K = r.SensorSet.all(3)
+    noise = r.NoiseSpec(kind="uniform_elementwise", lo=-.05, hi=.05, seed=11)
+    base = dict(detector="II", horizon=400, noise=noise)
+    cases = [
+        ("vtf", vtf, K, base),
+        ("vtf_auth10_phase0", vtf, K, {**base, "policy": r.AuthPolicy.periodic([1, 2], 10, 3)}),
+        ("vtf_auth10_phase3_start", vtf, K, {**base, "start": 150,
+                                             "policy": r.AuthPolicy.periodic([1, 2], 10, 3, phase=3)}),
+        ("vtf_period3", vtf, K, {**base, "period": 3}),
+        ("vtf_epsilon_cap", vtf, K, {**base, "epsilon": 0.1}),
+        ("vtf_clean_sensor_3", vtf, r.SensorSet.of([3], 3), base),
+        ("no_slack", r.SystemModel(A=vtf.A, B=None, C=vtf.C, delta_w=0.0, N=2), K,
+         {**base, "noise": r.NoiseSpec.zero()}),
+        # with N = 1 an injection reaches no window slot at all
+        ("window_of_one", r.SystemModel(A=[[1.2]], B=None, C=[[1.0]], delta_w=0.1, N=1),
+         r.SensorSet.all(1), {**base, "horizon": 50}),
+    ]
+    rng = np.random.default_rng(1)
+    for N in (3, 4):
+        for i in range(6):
+            p = int(rng.integers(2, 4))
+            m = random_observable_model(rng, n=int(rng.integers(2, 4)), p=p, N=N, unstable=True)
+            pol = None if i % 2 == 0 else r.AuthPolicy.periodic(
+                [1], int(rng.integers(5, 9)), p, phase=int(rng.integers(0, 4)))
+            kw = dict(detector="II", horizon=120, policy=pol,
+                      noise=r.NoiseSpec(kind="uniform_elementwise", lo=-.02, hi=.02,
+                                        seed=int(rng.integers(2 ** 31))))
+            cases.append((f"random_N{N}_{i}", m, r.SensorSet.all(p), kw))
+    return cases
+
+
+def test_batched_ramp_matches_greedy_oracle():
+    # the ramp sized in slot-disjoint batches gives the greedy ramp's plans
+    # byte for byte, and its refusals with the same message
+    from oracles import plan_outcome, sustained_attack_greedy
+    kinds = set()
+    for label, model, K, kw in _ramp_cases():
+        got = plan_outcome(r.sustained_attack, model, K, **kw)
+        assert got == plan_outcome(sustained_attack_greedy, model, K, **kw), label
+        kinds.add(got[0] if got[0] == "refused" else (model.N, "resets=0" in got[-2]))
+    # refusals, and free-running and sawtooth plans at N = 2, 3 and 4
+    assert kinds == {"refused"} | {(N, free) for N in (2, 3, 4) for free in (True, False)}
