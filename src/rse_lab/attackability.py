@@ -16,6 +16,7 @@ from .model import (
     ConfigError,
     SensorSet,
     SystemModel,
+    _stack_rows,
     build_overlap_stack,
     build_O,
     classical_obs_stack,
@@ -157,16 +158,6 @@ class PolicyVerdict:
         return {"prevented": self.prevented, "reason": self.reason, "checks": dict(self.checks)}
 
 
-def _decimated_stack(model: SystemModel, auth_subset: SensorSet, period: int) -> np.ndarray:
-    rows0 = list(auth_subset.indices0)
-    CF = model.C[rows0]
-    Ap = np.linalg.matrix_power(model.A, period)
-    out = [CF]
-    for _ in range(model.N - 1):
-        out.append(out[-1] @ Ap)
-    return np.vstack(out)
-
-
 def policy_prevents_pa(model: SystemModel, compromised: SensorSet, policy,
                        auth_subset: SensorSet, detector: str = "II") -> PolicyVerdict:
     """Check whether authenticating auth_subset every policy.period steps
@@ -204,7 +195,10 @@ def policy_prevents_pa(model: SystemModel, compromised: SensorSet, policy,
     if rank_obs < model.n:
         return PolicyVerdict(False, "(A, P_F C) unobservable", checks)
 
-    key = _decimated_stack(model, auth_subset, period)
+    # [P_F C; P_F C A^T; ...]: the window stack of (A^T, P_F C), taken power-major
+    key = _stack_rows(np.linalg.matrix_power(model.A, period),
+                      model.C[list(auth_subset.indices0)], model.N)
+    key = key.reshape(len(auth_subset), model.N, model.n).swapaxes(0, 1).reshape(-1, model.n)
     rank_key, margin_key = rank_margin(key)
     checks["key_rank"] = rank_key
     checks["key_margin"] = margin_key

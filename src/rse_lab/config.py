@@ -11,8 +11,8 @@ import numpy as np
 
 from .detectors import detector_name
 from .model import ConfigError, SensorSet, SystemModel, as_int, matvec_rows, suggest_delta_w
-from .sim import AuthPolicy, NoiseSpec, SimTrace, run_closed_loop
-from .synth import AttackPlan, sustained_attack
+from .sim import AuthPolicy, NoiseSpec, SimTrace, _gain_matrix, run_closed_loop
+from .synth import AttackPlan, _check_epsilon, sustained_attack
 
 __all__ = ["ScenarioConfig", "load_config", "parse_config", "vtf_model",
            "vtf_scenario", "builtin_scenarios"]
@@ -207,7 +207,7 @@ def _parse_config(doc: dict, name: str) -> ScenarioConfig:
         raise ConfigError("horizon needs 'steps' or 'seconds'")
 
     ctrl = _section(doc.get("controller", {}), "controller")
-    gain = np.array(ctrl["gain"], dtype=float) if "gain" in ctrl else None
+    gain = _gain_matrix(model, ctrl["gain"]) if "gain" in ctrl else None
     reference = ctrl.get("reference")
     if reference is not None:
         _section(reference, "controller.reference")
@@ -221,6 +221,7 @@ def _parse_config(doc: dict, name: str) -> ScenarioConfig:
     for key in ("start", "period"):
         if key in attack:
             as_int(attack[key], f"attack.{key}")
+    _check_epsilon(attack.get("epsilon"))
     if source == "file" and not os.path.exists(attack.get("path", "")):
         raise ConfigError(f"attack file not found: {attack.get('path')!r}")
 

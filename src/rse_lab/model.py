@@ -9,12 +9,13 @@ at time t is the pN vector
 i.e. block i (of N rows) belongs to sensor i.  Time-major views are obtained
 through explicit permutations; all rank/null-space statements are invariant
 under the row permutation, so the choice only has to be consistent.
+SystemModel.O_full() is the one window stack; the other stacks select its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -35,7 +36,6 @@ __all__ = [
     "unstable_null_intersection",
     "unstable_chain",
     "suggest_delta_w",
-    "stacked_noise_gram",
 ]
 
 RANK_TOL = 1e-9  # singular values above RANK_TOL * max(1, sigma_max) count toward rank
@@ -104,7 +104,7 @@ def as_int(value, what: str) -> int:
         out = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what} must be an integer, got {value!r}") from exc
-    if out != value:
+    if out != value or isinstance(value, (bool, np.bool_)):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     return out
 
@@ -172,45 +172,9 @@ def suggest_delta_w(A: np.ndarray, C: np.ndarray, N: int, delta_vp: float, delta
     through C A^j, so ||w_eff(k)|| <= delta_vm + ||C|| sum_{j<k} ||A^j|| delta_vp.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    normC = float(np.linalg.norm(C, 2))
-    acc = 0.0
-    Pw = np.eye(A.shape[0])
-    for _ in range(N - 1):
-        acc += float(np.linalg.norm(Pw, 2))
-        Pw = Pw @ A
+    normC = float(np.linalg.norm(np.atleast_2d(np.asarray(C, dtype=float)), 2))
+    acc = sum(float(np.linalg.norm(P, 2)) for P in _powers(A, N - 1))
     return float(delta_vm + normC * acc * delta_vp)
-
-
-def stacked_noise_gram(A: np.ndarray, C: np.ndarray, N: int,
-                       delta_vp: float, delta_vm: float) -> np.ndarray:
-    """Second-moment structure (up to scale) of the sensor-major stacked noise.
-
-    Entry ((i,k),(j,l)) covers the shared process-noise terms
-    w_i(k) = vM_i(k) + sum_{m<k} C_i A^{k-1-m} vP(m), assuming elementwise
-    uncorrelated channels with variances proportional to delta^2 / dim.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    p, n = C.shape
-    var_m = delta_vm ** 2 / p
-    var_p = delta_vp ** 2 / n
-    # rows of C A^j for j = 0..N-2, used by window slots k > j
-    CA = [C @ np.linalg.matrix_power(A, j) for j in range(N)]
-    G = np.zeros((p * N, p * N))
-    for i in range(p):
-        for k in range(N):
-            r = i * N + k
-            for j in range(p):
-                for l in range(N):
-                    c = j * N + l
-                    v = var_m if (i == j and k == l) else 0.0
-                    for m in range(min(k, l)):
-                        v += var_p * float(CA[k - 1 - m][i] @ CA[l - 1 - m][j])
-                    G[r, c] = v
-    if delta_vm == 0 and delta_vp == 0:
-        return np.eye(p * N)
-    return G
 
 
 @dataclass(frozen=True)
@@ -231,7 +195,7 @@ class SystemModel:
     N: int
     delta_vp: Optional[float] = None
     delta_vm: Optional[float] = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = _as_matrix(self.A, name="A")
@@ -251,8 +215,7 @@ class SystemModel:
             raise ConfigError("window length N must be >= 1")
         # the full window stack must recover the state: rank n.  For N >= n this
         # is exactly (A, C) observability (Cayley-Hamilton); for N < n stricter.
-        obs = _stack_rows(A, C, np.arange(C.shape[0]), self.N)
-        if rank_with_tol(obs) < n:
+        if rank_with_tol(self.O_full()) < n:
             raise ConfigError("(A, C) window stack is rank deficient at RANK_TOL")
 
     # -- basic dimensions ---------------------------------------------------
@@ -281,8 +244,9 @@ class SystemModel:
 
     # -- cached stacked operators -------------------------------------------
     def O_full(self) -> np.ndarray:
+        """The sensor-major window stack of every sensor, (p N, n)."""
         if "O" not in self._cache:
-            self._cache["O"] = build_O(self, self.sensors())
+            self._cache["O"] = _stack_rows(self.A, self.C, self.N)
         return self._cache["O"]
 
     def O_pinv_norm(self) -> float:
@@ -292,66 +256,61 @@ class SystemModel:
         return self._cache["opn"]
 
     def noise_gram(self) -> Optional[np.ndarray]:
-        """Stacked-noise second-moment structure, or None when channel bounds
-        were not declared (the decoder then falls back to the plain pseudoinverse)."""
+        """Second-moment structure (up to scale) of the stacked noise Phi vP + vM,
+        Phi's block ((i, k), m < k) being the O_full row C_i A^{k-1-m}: with
+        channel variances delta^2 / dim, var_p Phi Phi^T + var_m I.  None when
+        channel bounds were not declared (the decoder then uses the pseudoinverse)."""
         if self.delta_vp is None or self.delta_vm is None:
             return None
         if "gram" not in self._cache:
-            self._cache["gram"] = stacked_noise_gram(
-                self.A, self.C, self.N, self.delta_vp, self.delta_vm)
+            p, N, n = self.p, self.N, self.n
+            gram = np.eye(p * N)
+            if self.delta_vp or self.delta_vm:
+                O3, Phi = self.O_full().reshape(p, N, n), np.zeros((p, N, N - 1, n))
+                for k in range(1, N):
+                    Phi[:, k, :k] = O3[:, k - 1::-1]
+                Phi = Phi.reshape(p * N, (N - 1) * n)
+                gram = self.delta_vp ** 2 / n * (Phi @ Phi.T) + self.delta_vm ** 2 / p * gram
+            self._cache["gram"] = gram
         return self._cache["gram"]
 
     def powers(self) -> list[np.ndarray]:
         """[I, A, ..., A^{N-1}]"""
         if "pow" not in self._cache:
-            out = [np.eye(self.n)]
-            for _ in range(self.N - 1):
-                out.append(out[-1] @ self.A)
-            self._cache["pow"] = out
+            self._cache["pow"] = _powers(self.A, self.N)
         return self._cache["pow"]
 
 
-def _stack_rows(A: np.ndarray, C: np.ndarray, sensors0: Sequence[int], N: int) -> np.ndarray:
-    """Sensor-major stack: for each sensor i the block [C_i; C_i A; ...; C_i A^{N-1}]."""
-    n = A.shape[0]
-    if len(sensors0) == 0:
-        return np.empty((0, n))
-    powers = [np.eye(n)]
-    for _ in range(N - 1):
-        powers.append(powers[-1] @ A)
-    blocks = []
-    for i in sensors0:
-        blocks.append(np.vstack([C[i] @ P for P in powers]))
-    return np.vstack(blocks)
+def _powers(A: np.ndarray, k: int) -> list[np.ndarray]:
+    """[I, A, ..., A^{k-1}], each power the previous one times A."""
+    out = [np.eye(A.shape[0])]
+    while len(out) < k:
+        out.append(out[-1] @ A)
+    return out[:k]
+
+
+def _stack_rows(A: np.ndarray, C: np.ndarray, k: int) -> np.ndarray:
+    """Sensor-major stack: for each row C_i of C the block [C_i; C_i A; ...; C_i A^{k-1}]."""
+    return np.array([C[i] @ P for i in range(len(C)) for P in _powers(A, k)]).reshape(
+        -1, A.shape[0])
 
 
 def build_O(model: SystemModel, subset: SensorSet) -> np.ndarray:
-    """Stacked observation matrix of the given sensors over the model window.
-
-    Sensor-major: |subset| blocks of N rows, block i being [C_i; C_i A; ...].
-    The empty subset yields a 0 x n matrix.
-    """
-    return _stack_rows(model.A, model.C, subset.indices0, model.N)
+    """Stacked observation matrix of the given sensors over the model window:
+    their |subset| blocks of N rows of O_full.  The empty subset yields 0 x n."""
+    return model.O_full()[subset.block_rows(model.N)]
 
 
 def classical_obs_stack(model: SystemModel, subset: SensorSet) -> np.ndarray:
     """n-step observability stack of (A, P_subset C), independent of the window."""
-    return _stack_rows(model.A, model.C, subset.indices0, model.n)
+    return _stack_rows(model.A, model.C[list(subset.indices0)], model.n)
 
 
 def build_overlap_stack(model: SystemModel, compromised: SensorSet) -> np.ndarray:
-    """Stack of the clean sensors' full observation rows and the compromised
-    sensors' rows up to power N-2.  Its rank splits the over-time
-    attackability analysis into the two branches."""
-    clean = compromised.complement()
-    top = build_O(model, clean)
-    if model.N < 2 or len(compromised) == 0:
-        return top
-    rows0 = list(compromised.indices0)
-    Ck = model.C[rows0]
-    powers = model.powers()
-    bottom = np.vstack([Ck @ powers[j] for j in range(model.N - 1)])
-    return np.vstack([top, bottom])
+    """O_full without the last-slot row C_i A^{N-1} of each compromised sensor:
+    the clean sensors' full rows and the compromised ones' up to power N-2.
+    Its rank splits the over-time attackability analysis into the two branches."""
+    return np.delete(model.O_full(), [i * model.N - 1 for i in compromised], axis=0)
 
 
 # -- eigenstructure -----------------------------------------------------------

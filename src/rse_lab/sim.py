@@ -52,6 +52,8 @@ class NoiseSpec:
             raise ConfigError("noise radii must be >= 0")
         if self.kind == "uniform_elementwise" and self.lo > self.hi:
             raise ConfigError("uniform noise needs lo <= hi")
+        if as_int(self.seed, "noise seed") < 0:
+            raise ConfigError(f"noise seed must be >= 0, got {self.seed}")
 
     @classmethod
     def zero(cls) -> "NoiseSpec":
@@ -233,39 +235,42 @@ class SimTrace:
             fh.write(self.to_csv())
 
 
+def _slot_kernels(model: SystemModel) -> np.ndarray:
+    """(N, p, n): kernel j is C A^j, the power-j rows of O_full."""
+    return model.O_full().reshape(model.p, model.N, model.n).swapaxes(0, 1)
+
+
 def effective_window_noise(model: SystemModel, vP: np.ndarray, vM: np.ndarray,
                            n_windows: int) -> np.ndarray:
-    """w_eff[s, k] = measurement noise at window slot k as the decoder sees it."""
-    N, p = model.N, model.p
-    out = np.zeros((n_windows, N, p))
-    for k in range(N):
-        out[:, k, :] = vM[k:k + n_windows]
-        for j in range(k):
-            out[:, k, :] += vP[j:j + n_windows] @ (model.C @ model.powers()[k - 1 - j]).T
-    return out
+    """w_eff[s, k] = measurement noise at window slot k as the decoder sees it:
+    vM plus the process noise that the kernels C A^j carry into the slot."""
+    T = n_windows + model.N - 1
+    w = _windows(vM[:T], -vP[:T], _slot_kernels(model))
+    return w.reshape(n_windows, model.p, model.N).swapaxes(1, 2)
 
 
-def _forced_response_rows(model: SystemModel) -> list[list[np.ndarray]]:
-    """pre[k][j] = C A^{k-1-j} B, the forced-response kernel inside one window."""
-    out = []
-    for k in range(model.N):
-        out.append([model.C @ model.powers()[k - 1 - j] @ model.B for j in range(k)])
-    return out
-
-
-def _windows(y_del: np.ndarray, u: np.ndarray, frk: list) -> np.ndarray:
+def _windows(y_del: np.ndarray, u: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """Every sensor-major window of the delivered rows y_del (T, p), shape
-    (T - N + 1, p*N), with the known forced response of the inputs u (from
-    the same first step) subtracted per slot so the windows look autonomous."""
-    N = len(frk)
+    (T - N + 1, p*N), with the forced response of the inputs u (from the same
+    first step) through kernels[j] = C A^j B, (N, p, m), subtracted per slot
+    so the windows look autonomous."""
+    N = len(kernels)
     W = len(y_del) - N + 1
     Y = np.empty((W, y_del.shape[1], N))
     for k in range(N):
         eff = 0.0
         for j in range(k):
-            eff = eff + matvec_rows(frk[k][j], u[j:j + W])
+            eff = eff + matvec_rows(kernels[k - 1 - j], u[j:j + W])
         Y[:, :, k] = y_del[k:k + W] - eff
     return Y.reshape(W, -1)
+
+
+def _gain_matrix(model: SystemModel, gain) -> np.ndarray:
+    """gain as a finite m x n float matrix, zeros for None; ConfigError otherwise."""
+    K = np.zeros((model.m, model.n)) if gain is None else np.atleast_2d(np.asarray(gain, float))
+    if K.shape != (model.m, model.n) or not np.isfinite(K).all():
+        raise ConfigError(f"controller gain must be a finite {model.m}x{model.n} matrix")
+    return K
 
 
 def _shaped(a, shape: tuple, what: str) -> np.ndarray:
@@ -328,10 +333,7 @@ def run_closed_loop(model: SystemModel,
     N, n, p, m = model.N, model.n, model.p, model.m
     T_meas = horizon + N - 1
     comp = compromised if compromised is not None else SensorSet.empty(p)
-    K_gain = np.zeros((m, n)) if controller_gain is None else np.atleast_2d(
-        np.asarray(controller_gain, dtype=float))
-    if K_gain.shape != (m, n) or not np.isfinite(K_gain).all():
-        raise ConfigError(f"controller gain must be a finite {m}x{n} matrix")
+    K_gain = _gain_matrix(model, controller_gain)
     feedback = bool(K_gain.any())
 
     vP, vM = noise.draw(T_meas, n, p)
@@ -343,7 +345,7 @@ def run_closed_loop(model: SystemModel,
                                   "or shrink the noise)", model.delta_w, w_max)
 
     decoder = WindowDecoder(model)
-    frk = _forced_response_rows(model)
+    frk = _slot_kernels(model) @ model.B
     powN1 = model.powers()[N - 1]
     steer = [model.powers()[N - 2 - j] @ model.B for j in range(N - 1)]  # A^{N-2-j} B
 

@@ -260,8 +260,8 @@ def sustained_attack(model: SystemModel, compromised: SensorSet, *, detector: st
     stacked norm ||O v|| of every injection v.  A policy authenticating
     compromised sensors turns the plan into a sawtooth that returns the
     attacker state to zero exactly at every enforcement time; growth is then
-    bounded, as the policy analysis predicts.  A period below 1 or a negative
-    epsilon raises ConfigError.
+    bounded, as the policy analysis predicts.  A period below 1 or an epsilon
+    that is not a finite number >= 0 raises ConfigError.
     """
     det = detector_name(detector)
     model.check_sensor_sets(compromised=compromised,
@@ -270,8 +270,7 @@ def sustained_attack(model: SystemModel, compromised: SensorSet, *, detector: st
     period = as_int(period, "attack period")
     if period < 1:
         raise ConfigError(f"attack period must be >= 1, got {period}")
-    if epsilon is not None and not float(epsilon) >= 0:
-        raise ConfigError(f"attack epsilon must be >= 0, got {epsilon}")
+    _check_epsilon(epsilon)
     N = model.N
     t0 = (N - 1) if start is None else as_int(start, "attack start")
     if t0 < N - 1:
@@ -293,6 +292,16 @@ def sustained_attack(model: SystemModel, compromised: SensorSet, *, detector: st
         raise ConfigError("ramped synthesis needs the scenario noise stream")
     return _ramped_plan(model, compromised, det, horizon, noise, policy, t0,
                         period, epsilon)
+
+
+def _check_epsilon(epsilon) -> None:
+    """ConfigError unless epsilon is None or a finite number >= 0."""
+    try:
+        if epsilon is None or 0 <= float(epsilon) < np.inf:
+            return
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"attack epsilon must be >= 0 and a finite number, got {epsilon!r}")
 
 
 def _roll_forward(model: SystemModel, compromised: SensorSet, inj: np.ndarray,

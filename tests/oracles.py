@@ -294,3 +294,29 @@ def plan_outcome(build, *args, **kwargs):
             None if plan.zeta is None else plan.zeta.tobytes(),
             [(type(t).__name__, int(t), np.asarray(v).tobytes()) for t, v in plan.injections],
             plan.epsilon, plan.notes, plan.target_detector)
+
+
+def stacked_noise_gram_loops(A, C, N, delta_vp, delta_vm):
+    """Second-moment structure (up to scale) of the sensor-major stacked noise,
+    entry by entry: entry ((i,k),(j,l)) sums the shared process-noise terms of
+    w_i(k) = vM_i(k) + sum_{m<k} C_i A^{k-1-m} vP(m), assuming elementwise
+    uncorrelated channels with variances delta^2 / dim.  The reference for
+    SystemModel.noise_gram."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    C = np.atleast_2d(np.asarray(C, dtype=float))
+    p, n = C.shape
+    var_m = delta_vm ** 2 / p
+    var_p = delta_vp ** 2 / n
+    CA = [C @ np.linalg.matrix_power(A, j) for j in range(N)]
+    G = np.zeros((p * N, p * N))
+    for i in range(p):
+        for k in range(N):
+            for j in range(p):
+                for l in range(N):
+                    v = var_m if (i == j and k == l) else 0.0
+                    for m in range(min(k, l)):
+                        v += var_p * float(CA[k - 1 - m][i] @ CA[l - 1 - m][j])
+                    G[i * N + k, j * N + l] = v
+    if delta_vm == 0 and delta_vp == 0:
+        return np.eye(p * N)
+    return G

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -348,25 +349,33 @@ def test_config_refuses_unknown_keys(tmp_path, capsys, path):
     ("system.delta_w", float("nan"), "delta_w must be finite"),
     ("system.delta_w", float("inf"), "delta_w must be finite"),
     ("system.A", [[1, .01], [0, float("nan")]], "A has non-finite"),
+    ("system.N", True, "system.N must be an integer, got True"),
+    ("compromised", [True, 2], "compromised entry must be an integer, got True"),
+    ("horizon.steps", True, "horizon.steps must be an integer, got True"),
+    ("auth.period", False, "authentication period must be an integer, got False"),
 ])
 def test_config_refuses_fractional_and_non_finite_values(tmp_path, capsys, path, value,
                                                          message):
-    # the parent truncated the fractions (N 2.9 ran with N = 2) and ran a
-    # NaN delta_w with every residual inside Omega
+    # the parent truncated the fractions (N 2.9 ran with N = 2), ran a NaN
+    # delta_w with every residual inside Omega and read JSON true as 1 (N = 1:
+    # analyze exit 2; compromised [true, 2]: sensors {1, 2}, exit 3)
     doc = _full_doc()
     _set(doc, path, value)
     with pytest.raises(r.ConfigError, match=message):
         r.parse_config(doc)
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))  # json writes NaN and Infinity, and reads them back
-    assert run_cli(["simulate", "--config", str(cfg)]) == 1
-    assert message in capsys.readouterr().err
+    for command in ("simulate", "analyze"):
+        assert run_cli([command, "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
     if isinstance(value, float) and np.isfinite(value):
         _set(doc, path, 2.0)
         r.parse_config(doc)  # an integral float passes
 
 
 NOISE_FINITE = "noise lo, hi, radius_p and radius_m must be finite"
+GAIN = "controller gain must be a finite 1x2 matrix"
+EPSILON = "attack epsilon must be >= 0 and a finite number"
 REFERENCE_FINITE = "reference radius, angular_rate and phase must be finite"
 
 
@@ -390,25 +399,36 @@ REFERENCE_FINITE = "reference radius, angular_rate and phase must be finite"
     ({"auth.sensors": "12"}, "auth.sensors must be an array"),
     ({"auth.sensors": [1, "2"]}, "auth.sensors entry must be an integer"),
     ({"detector": "foo"}, "unknown detector 'foo'"),
+    ({"controller.gain": [[500.0, float("nan")]]}, GAIN),
+    ({"controller.gain": [[500.0, 40.0, 1.0]]}, GAIN),
+    ({"controller.gain": [[500.0], [40.0]]}, GAIN),
+    ({"attack.epsilon": "big"}, f"{EPSILON}, got 'big'"),
+    ({"attack.epsilon": float("inf")}, f"{EPSILON}, got inf"),
+    ({"attack.epsilon": float("nan")}, f"{EPSILON}, got nan"),
+    ({"attack.epsilon": [1.0]}, f"{EPSILON}, got [1.0]"),
+    ({"noise.seed": -1}, "noise seed must be >= 0, got -1"),
 ], ids=["dt_zero_seconds", "dt_negative", "dt_nan", "seconds_inf", "noise_lo_nan",
         "noise_hi_inf", "noise_radius_nan", "noise_radius_negative", "reference_radius_nan",
         "reference_rate_inf", "reference_phase_inf", "reference_kind_unknown",
         "compromised_fraction",
         "compromised_string", "auth_sensors_string", "auth_sensors_string_entry",
-        "detector_unknown"])
+        "detector_unknown", "gain_nan", "gain_wide", "gain_tall", "epsilon_string",
+        "epsilon_inf", "epsilon_nan", "epsilon_list", "seed_negative"])
 def test_config_refuses_bad_numbers_and_sensor_lists(tmp_path, capsys, changes, message):
     # the parent ran these (a fractional sensor as its integer part, "12" as
     # sensors 1 and 2, a NaN dt with a horizon in steps) or ended in a
     # ZeroDivisionError or OverflowError traceback; it checked the reference
-    # only when a scenario ran, so analyze, which runs none, exited 2
+    # only when a scenario ran, so analyze, which runs none, exited 2; it
+    # checked the gain, epsilon and seed only when a run used them (analyze
+    # exited 0, attack ran the gains and ended in numpy errors on the rest)
     doc = _full_doc()
     for path, value in changes.items():
         _set(doc, path, value)
-    with pytest.raises(r.ConfigError, match=message):
+    with pytest.raises(r.ConfigError, match=re.escape(message)):
         r.parse_config(doc)
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
-    for command in ("simulate", "analyze"):
+    for command in ("simulate", "analyze", "attack"):
         assert run_cli([command, "--config", str(cfg)]) == 1
         assert message in capsys.readouterr().err
 

@@ -5,9 +5,10 @@ import pytest
 
 import rse_lab as r
 from rse_lab.model import RANK_TOL, rank_margin, singular_values
-from rse_lab.sim import _forced_response_rows, _windows
+from rse_lab.sim import _slot_kernels, _windows
 
 from conftest import random_observable_model
+from oracles import stacked_noise_gram_loops
 
 
 def test_sensor_set_basics():
@@ -198,11 +199,69 @@ def test_stacked_window_layout(vtf):
     # the windows the simulator decodes: sensor-major blocks, slot k of
     # sensor i at entry (i - 1) * N + k (zero inputs: no forced response)
     series = np.arange(12, dtype=float).reshape(4, 3)  # 4 steps, 3 sensors
-    Y = _windows(series, np.zeros((4, 1)), _forced_response_rows(vtf))
+    Y = _windows(series, np.zeros((4, 1)), _slot_kernels(vtf) @ vtf.B)
     assert Y.shape == (3, 6)
     assert np.array_equal(Y[1], [3, 6, 4, 7, 5, 8])
     assert np.array_equal(Y[1][1::2], series[2])  # slot 1, all sensors
     assert np.array_equal(Y[1][2:4], series[1:3, 1])  # sensor 2, both slots
+
+
+def test_window_stacks_match_their_entry_by_entry_constructions(vtf, monkeypatch):
+    # every stack is a row selection of O_full and the noise Gram one product
+    # over its rows; the constructions they replaced, written out row by row,
+    # give the same rows (up to order) and rank margins, bit for bit on VTF,
+    # whose unit-row C makes every regrouped product exact
+    from rse_lab import attackability
+    seen = []  # every matrix policy_prevents_pa ranks, the decimated stack among them
+    real_margin = attackability.rank_margin
+    monkeypatch.setattr(attackability, "rank_margin", lambda M: seen.append(M) or real_margin(M))
+
+    def check(m, tol):
+        def same(X, Y):  # the same rows, up to order
+            X, Y = (M[np.lexsort(M.T[::-1])] for M in (X, Y))
+            return X.shape == Y.shape and np.allclose(X, Y, rtol=tol, atol=tol)
+
+        def same_margin(got, M_old):
+            rank, margin = rank_margin(M_old)
+            return got == (rank, pytest.approx(margin, rel=tol, abs=tol))
+
+        G = stacked_noise_gram_loops(m.A, m.C, m.N, m.delta_vp, m.delta_vm)
+        assert np.max(np.abs(m.noise_gram() - G)) <= tol / 100 * np.max(np.abs(G))  # 1e-14
+        Pw = [np.eye(m.n)]
+        while len(Pw) < m.N:
+            Pw.append(Pw[-1] @ m.A)
+        for K in (r.SensorSet.of(k, m.p) for size in range(m.p + 1)
+                  for k in itertools.combinations(range(1, m.p + 1), size)):
+            clean = K.complement()
+            O_old = np.vstack([m.C[i] @ P for i in clean.indices0 for P in Pw]
+                              or [np.empty((0, m.n))])
+            assert np.array_equal(r.build_O(m, clean), O_old)
+            F_old = np.vstack([O_old] + [m.C[list(K.indices0)] @ P for P in Pw[:-1]])
+            F = r.build_overlap_stack(m, K)
+            assert same(F, F_old) and same_margin(rank_margin(F), F_old)
+        # the decimated stack [P_F C; P_F C A^L; ...] of an L-periodic policy
+        auth = r.SensorSet.of(range(1, m.p), m.p)
+        for L in (1, 3, 10):
+            seen.clear()
+            checks = r.policy_prevents_pa(m, m.sensors(), r.AuthPolicy(auth, L), auth,
+                                          detector="I").checks
+            if "key_rank" in checks:
+                key_old = [m.C[list(auth.indices0)]]
+                while len(key_old) < m.N:
+                    key_old.append(key_old[-1] @ np.linalg.matrix_power(m.A, L))
+                key_old = np.vstack(key_old)
+                assert any(np.allclose(M, key_old, rtol=tol, atol=tol) for M in seen
+                           if M.shape == key_old.shape)
+                assert same_margin((checks["key_rank"], checks["key_margin"]), key_old)
+                checked.append(m.N)
+
+    checked = []
+    check(vtf, tol=0)
+    rng = np.random.default_rng(17)
+    for N in (2, 3, 4, 5):
+        for _ in range(6):
+            check(random_observable_model(rng, N=N, unstable=True, weighted=True), tol=1e-12)
+    assert len(set(checked)) == 4 and len(checked) > 40
 
 
 def test_suggest_delta_w_vtf(vtf):

@@ -4,7 +4,7 @@ import pytest
 import rse_lab as r
 from rse_lab.config import make_reference
 from rse_lab.decoder import WindowDecoder
-from rse_lab.sim import _forced_response_rows, _windows
+from rse_lab.sim import _slot_kernels, _windows
 
 from conftest import random_observable_model
 
@@ -188,7 +188,7 @@ def _all_windows(tr, noise, attack):
     y_del = np.array([m.C @ x[t] + vM[t] + (0.0 if attack is None else attack(t))
                       for t in range(T)])
     assert np.array_equal(y_del[:H], tr.y_delivered)  # same bits as the plant loop
-    return _windows(y_del, u, _forced_response_rows(m))
+    return _windows(y_del, u, _slot_kernels(m) @ m.B)
 
 
 def _assert_matches_per_window(tr, noise, attack=None):
