@@ -28,6 +28,7 @@ from .config import (
 from .decoder import decode as decode_window
 from .detectors import detector_name
 from .model import RANK_TOL, ConfigError
+from .sim import _csv_text
 from .synth import NotPerfectlyAttackable
 
 MARGIN_BAND = 10.0  # rank margins below MARGIN_BAND * RANK_TOL are "indeterminate"
@@ -146,11 +147,8 @@ def cmd_decode(args) -> int:
 
 
 def _write_series(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    arr = np.column_stack(columns)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in arr:
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+        fh.write(_csv_text(header, columns))
 
 
 PLOT_SCRIPT = """\

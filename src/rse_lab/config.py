@@ -197,14 +197,16 @@ def _parse_config(doc: dict, name: str) -> ScenarioConfig:
         raise ConfigError(f"dt must be a finite number > 0, got {dt!r}")
     hord = _section(doc.get("horizon", {"steps": 1000}), "horizon")
     if "steps" in hord:
-        horizon = as_int(hord["steps"], "horizon.steps")
+        key, horizon = "steps", as_int(hord["steps"], "horizon.steps")
     elif "seconds" in hord:
         seconds = float(hord["seconds"])
         if not np.isfinite(seconds):
             raise ConfigError(f"horizon.seconds must be finite, got {seconds!r}")
-        horizon = int(round(seconds / dt))
+        key, horizon = "seconds", int(round(seconds / dt))
     else:
         raise ConfigError("horizon needs 'steps' or 'seconds'")
+    if horizon < 1:
+        raise ConfigError(f"horizon.{key} gives {horizon} steps; a run needs at least 1")
 
     ctrl = _section(doc.get("controller", {}), "controller")
     gain = _gain_matrix(model, ctrl["gain"]) if "gain" in ctrl else None

@@ -38,7 +38,7 @@ __all__ = [
     "suggest_delta_w",
 ]
 
-RANK_TOL = 1e-9  # singular values above RANK_TOL * max(1, sigma_max) count toward rank
+RANK_TOL = 1e-9  # singular values above RANK_TOL times max(1, sigma_max) count toward rank
 STABILITY_MARGIN = 1e-9  # eigenvalues with |lambda| >= 1 - STABILITY_MARGIN count as unstable
 
 
@@ -135,19 +135,24 @@ def singular_values(M: np.ndarray) -> np.ndarray:
 
 
 def rank_with_tol(M: np.ndarray) -> int:
-    """Numerical rank: number of singular values above RANK_TOL * max(1, sigma_max)."""
+    """Numerical rank: number of singular values above the rank threshold."""
     return rank_margin(M)[0]
+
+
+def _threshold(s: np.ndarray) -> float:
+    """The rank threshold of descending singular values s: RANK_TOL times
+    max(1, sigma_max), the guard keeping it meaningful for near-zero matrices."""
+    return RANK_TOL * max(1.0, float(s[0]))
 
 
 def rank_margin(M: np.ndarray) -> tuple[int, float]:
     """Numerical rank plus the normalized distance of the closest singular
-    value to the decision threshold RANK_TOL * max(1, sigma_max).  A small
-    margin flags a borderline rank verdict; the max(1, .) guard keeps the
-    threshold meaningful for near-zero matrices."""
+    value to the rank threshold.  A small margin flags a borderline rank
+    verdict."""
     s = singular_values(M)
     if s.size == 0:
         return 0, float("inf")
-    thresh = RANK_TOL * max(1.0, float(s[0]))
+    thresh = _threshold(s)
     rank = int(np.sum(s > thresh))
     margin = float(np.min(np.abs(s - thresh)) / max(1.0, float(s[0])))
     return rank, margin
@@ -156,13 +161,10 @@ def rank_margin(M: np.ndarray) -> tuple[int, float]:
 def null_basis(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical null space of M."""
     M = np.atleast_2d(np.asarray(M))
-    n = M.shape[1]
     if M.size == 0 or M.shape[0] == 0:
-        return np.eye(n)
-    U, s, Vh = np.linalg.svd(M)
-    thresh = RANK_TOL * max(1.0, float(s[0]) if s.size else 0.0)
-    rank = int(np.sum(s > thresh))
-    return Vh[rank:].conj().T
+        return np.eye(M.shape[1])
+    _, s, Vh = np.linalg.svd(M)
+    return Vh[int(np.sum(s > _threshold(s))):].conj().T
 
 
 def suggest_delta_w(A: np.ndarray, C: np.ndarray, N: int, delta_vp: float, delta_vm: float) -> float:
@@ -315,7 +317,11 @@ def build_overlap_stack(model: SystemModel, compromised: SensorSet) -> np.ndarra
 
 # -- eigenstructure -----------------------------------------------------------
 
-def _eig_groups(A: np.ndarray) -> list[tuple[complex, int, int]]:
+def unstable_eigenstructure(A: np.ndarray) -> list[tuple[complex, int, int]]:
+    """Eigenvalues with |lambda| >= 1 - STABILITY_MARGIN, as
+    (eigenvalue, algebraic multiplicity, geometric multiplicity), ordered by
+    (|lambda| desc, angle asc).  Eigenvalues closer than the grouping
+    tolerance to a group's first member count as one."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = A.shape[0]
     vals = np.linalg.eig(A)[0]
@@ -332,18 +338,9 @@ def _eig_groups(A: np.ndarray) -> list[tuple[complex, int, int]]:
     out = []
     for g in groups:
         lam = complex(np.mean(g))
-        alg = len(g)
-        geo = n - rank_with_tol(A - lam * np.eye(n))
-        out.append((lam, alg, max(1, geo)))
-    return out
-
-
-def unstable_eigenstructure(A: np.ndarray) -> list[tuple[complex, int, int]]:
-    """Eigenvalues with |lambda| >= 1 - STABILITY_MARGIN, as
-    (eigenvalue, algebraic multiplicity, geometric multiplicity), ordered by
-    (|lambda| desc, angle asc)."""
-    out = [(lam, alg, geo) for lam, alg, geo in _eig_groups(A)
-           if abs(lam) >= 1.0 - STABILITY_MARGIN]
+        if abs(lam) >= 1.0 - STABILITY_MARGIN:
+            geo = n - rank_with_tol(A - lam * np.eye(n))
+            out.append((lam, len(g), max(1, geo)))
     return sorted(out, key=lambda t: (-abs(t[0]), np.angle(t[0])))
 
 
@@ -356,59 +353,43 @@ def unstable_null_intersection(model: SystemModel, compromised: SensorSet):
     spanning the invariant plane when lambda is complex.  Returns None when no
     unstable eigenvalue admits a witness.
     """
-    O_clean = build_O(model, compromised.complement())
-    n = model.n
-    for lam, _alg, _geo in unstable_eigenstructure(model.A):
-        stacked = np.vstack([model.A - lam * np.eye(n), O_clean.astype(complex)])
-        basis = null_basis(stacked)
-        if basis.shape[1] == 0:
-            continue
-        v = basis[:, 0]
-        if abs(lam.imag) <= RANK_TOL * max(1.0, abs(lam)):
-            lam_r = float(lam.real)
-            # rotate the complex phase away; the vector is real up to phase
-            j = int(np.argmax(np.abs(v)))
-            v = v * np.exp(-1j * np.angle(v[j]))
-            w = np.real(v)
-            w = w / np.linalg.norm(w)
-            return lam_r, w
-        plane = np.stack([np.real(v), np.imag(v)], axis=1)
-        q, _ = np.linalg.qr(plane)
-        return lam, q
-    return None
+    hit = unstable_chain(model, compromised)
+    return None if hit is None else (hit[0], hit[1][0])
 
 
 def unstable_chain(model: SystemModel, compromised: SensorSet):
     """Longest generalized-eigenvector chain usable for over-time attack growth.
 
     Returns (lambda, [v_1, ..., v_k]) where v_1 is an unstable eigenvector in
-    the clean sensors' null space, (A - lambda I) v_{j+1} = v_j, and every
-    chain vector stays in that null space (so the whole propagated trajectory
-    never touches clean sensors).  Chain length is bounded by the algebraic
-    multiplicity.  None when no witness exists.
+    the clean sensors' null space (the witness of unstable_null_intersection),
+    (A - lambda I) v_{j+1} = v_j, and every chain vector stays in that null
+    space (so the whole propagated trajectory never touches clean sensors).
+    Chain length is bounded by the algebraic multiplicity of lambda's group.
+    A complex lambda gives [plane], the invariant 2-plane.  None when no
+    witness exists.
     """
-    hit = unstable_null_intersection(model, compromised)
-    if hit is None:
-        return None
-    lam, v = hit
-    if isinstance(lam, complex) or np.ndim(v) == 2:
-        return lam, [v]  # complex pair: the invariant 2-plane, no chain extension
     O_clean = build_O(model, compromised.complement())
-    Z = null_basis(O_clean)  # admissible subspace
     n = model.n
-    alg = 1
-    for lam_g, alg_g, _ in unstable_eigenstructure(model.A):
-        if abs(lam_g - lam) <= 1e-8 * max(1.0, abs(lam)):
-            alg = alg_g
-            break
-    chain = [v]
-    Alam = model.A - lam * np.eye(n)
-    scale = max(1.0, float(np.linalg.norm(model.A, 2)))
-    while len(chain) < alg:
-        # next generalized vector constrained to the admissible subspace
-        coeff, *_ = np.linalg.lstsq(Alam @ Z, chain[-1], rcond=None)
-        cand = Z @ coeff
-        if np.linalg.norm(Alam @ cand - chain[-1]) > 1e-7 * scale * max(1.0, np.linalg.norm(chain[-1])):
-            break
-        chain.append(cand)
-    return float(lam), chain
+    for lam, alg, _geo in unstable_eigenstructure(model.A):
+        basis = null_basis(np.vstack([model.A - lam * np.eye(n), O_clean.astype(complex)]))
+        if basis.shape[1] == 0:
+            continue
+        v = basis[:, 0]
+        if abs(lam.imag) > _threshold([abs(lam)]):  # complex beyond rounding
+            q, _ = np.linalg.qr(np.stack([np.real(v), np.imag(v)], axis=1))
+            return lam, [q]
+        # rotate the complex phase away; the vector is real up to phase
+        w = np.real(v * np.exp(-1j * np.angle(v[int(np.argmax(np.abs(v)))])))
+        chain = [w / np.linalg.norm(w)]
+        lam = float(lam.real)
+        Alam, Z = model.A - lam * np.eye(n), null_basis(O_clean)  # Z: admissible subspace
+        tol = 1e-7 * max(1.0, float(np.linalg.norm(model.A, 2)))
+        while len(chain) < alg:
+            # next generalized vector constrained to the admissible subspace
+            coeff, *_ = np.linalg.lstsq(Alam @ Z, chain[-1], rcond=None)
+            cand = Z @ coeff
+            if np.linalg.norm(Alam @ cand - chain[-1]) > tol * max(1.0, np.linalg.norm(chain[-1])):
+                break
+            chain.append(cand)
+        return lam, chain
+    return None

@@ -4,8 +4,6 @@ sliding-window decoding, intrusion detection and authentication enforcement.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -213,26 +211,27 @@ class SimTrace:
         return int(np.sum(self.alarm_id1)), int(np.sum(self.alarm_id2))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
         n, p = self.model.n, self.model.p
         header = (["t"] + [f"x_{j+1}" for j in range(n)]
                   + [f"xhat_{j+1}" for j in range(n)] + ["err_norm"]
                   + [f"a_{j+1}" for j in range(p)]
                   + ["alarm_id1", "alarm_id2", "auth_flags"])
-        w.writerow(header)
-        for k in range(self.horizon):
-            row = ([int(self.t[k])] + [f"{v:.12g}" for v in self.x[k]]
-                   + [f"{v:.12g}" for v in self.x_hat[k]]
-                   + [f"{self.err_norm[k]:.12g}"]
-                   + [f"{v:.12g}" for v in self.attack[k]]
-                   + [int(self.alarm_id1[k]), int(self.alarm_id2[k]), int(self.auth_mask[k])])
-            w.writerow(row)
-        return buf.getvalue()
+        return _csv_text(header, [self.t, *self.x.T, *self.x_hat.T, self.err_norm,
+                                  *self.attack.T, self.alarm_id1, self.alarm_id2,
+                                  self.auth_mask])
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(self.to_csv())
+
+
+def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
+    """CSV text: the header, then one row per entry of the equal-length
+    columns.  Integer and bool columns are written as integers at any size,
+    every other one as %.12g."""
+    cells = [[str(int(v)) for v in c.tolist()] if c.dtype.kind in "biu"
+             else [f"{v:.12g}" for v in c.tolist()] for c in map(np.asarray, columns)]
+    return "".join(",".join(row) + "\n" for row in [header, *zip(*cells)])
 
 
 def _slot_kernels(model: SystemModel) -> np.ndarray:
@@ -292,7 +291,7 @@ def run_closed_loop(model: SystemModel,
                     horizon: int,
                     noise: NoiseSpec,
                     compromised: Optional[SensorSet] = None,
-                    attack: Optional[Callable[[int], np.ndarray]] = None,
+                    attack: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                     policy: Optional[AuthPolicy] = None,
                     controller_gain: Optional[np.ndarray] = None,
                     reference: Optional[Callable[[np.ndarray], tuple]] = None,
@@ -314,13 +313,14 @@ def run_closed_loop(model: SystemModel,
     estimates, and every window is decoded afterwards in one
     WindowDecoder.decode_batch call.
 
-    attack(t) returns the requested injection p-vector at step t; reference
-    is called once, on arange(T) with T = horizon + N - 1, and returns x_ref
-    and the feedforward u_ff as (T, n) and (T, m) arrays (see
-    config.make_reference); other shapes raise ConfigError.  A nonzero
-    attack entry on a sensor authenticated at t is a violation: it is zeroed
-    before delivery and recorded as (t, sensors) in SimTrace.violations.  A
-    nonzero entry outside the compromised set raises ConfigError.
+    attack and reference are each called once, on arange(T) with
+    T = horizon + N - 1: attack returns the requested injections as a (T, p)
+    array (AttackPlan.at does), reference x_ref and the feedforward u_ff as
+    (T, n) and (T, m) arrays (see config.make_reference); other shapes raise
+    ConfigError.  A nonzero attack entry on a sensor authenticated at t is a
+    violation: it is zeroed before delivery and recorded as (t, sensors) in
+    SimTrace.violations.  A nonzero entry outside the compromised set raises
+    ConfigError.
     Raises NoiseBoundViolation when the drawn noise leaves the model's
     declared per-slot window-noise bound delta_w, or when an attack-free run breaks
     its error bound; PrecisionLoss instead when there eps * max ||y_t|| >= delta_w / 100.
@@ -353,8 +353,7 @@ def run_closed_loop(model: SystemModel,
     # they are enforced over every step at once
     auth = np.zeros((T_meas, p), dtype=bool) if policy is None else policy.mask(T_meas)
     a_applied = np.zeros((T_meas, p)) if attack is None else _shaped(
-        [np.asarray(attack(t), dtype=float).ravel() for t in range(T_meas)],
-        (T_meas, p), "attack(t) stacked over the run's steps")
+        attack(np.arange(T_meas)), (T_meas, p), "attack(t) on the array of steps t")
     violations = _enforce(a_applied, comp, auth)
 
     x = np.zeros((T_meas + 1, n))

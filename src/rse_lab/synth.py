@@ -33,12 +33,11 @@ from typing import Optional
 
 import numpy as np
 
-from .attackability import pa_over_time_id1, pa_over_time_id2
+from .attackability import BRANCH_RANK_DEFICIENT_OVERLAP, pa_over_time_id1, pa_over_time_id2
 from .detectors import detector_name
 from .model import (ConfigError, SensorSet, SystemModel, as_int, build_O, build_overlap_stack,
-                    matvec_rows, null_basis, rank_with_tol, unstable_chain,
-                    unstable_eigenstructure)
-from .sim import AuthPolicy, NoiseSpec, effective_window_noise
+                    matvec_rows, null_basis, unstable_chain, unstable_eigenstructure)
+from .sim import AuthPolicy, NoiseSpec, _csv_text, effective_window_noise
 
 __all__ = ["NotPerfectlyAttackable", "AttackPlan", "sustained_attack"]
 
@@ -66,23 +65,22 @@ class AttackPlan:
     def horizon(self) -> int:
         return self.entries.shape[0]
 
-    def at(self, t: int) -> np.ndarray:
-        k = t - self.offset
-        if 0 <= k < self.entries.shape[0]:
-            return self.entries[k]
-        return np.zeros(self.entries.shape[1])
+    def at(self, t) -> np.ndarray:
+        """The injection at step t, or at each step of an integer array t as
+        rows; zero outside the plan."""
+        k = np.asarray(t) - self.offset
+        inside = (k >= 0) & (k < self.horizon)
+        out = np.zeros(k.shape + self.entries.shape[1:])
+        out[inside] = self.entries[k[inside]]
+        return out
 
     def as_callable(self):
         return self.at
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
         p = self.entries.shape[1]
-        w.writerow(["t"] + [f"a_{i+1}" for i in range(p)])
-        for k in range(self.entries.shape[0]):
-            w.writerow([self.offset + k] + [f"{v:.12g}" for v in self.entries[k]])
-        return buf.getvalue()
+        return _csv_text(["t"] + [f"a_{i+1}" for i in range(p)],
+                         [self.offset + np.arange(self.horizon), *self.entries.T])
 
     @classmethod
     def from_csv(cls, text: str, compromised: SensorSet,
@@ -279,15 +277,14 @@ def sustained_attack(model: SystemModel, compromised: SensorSet, *, detector: st
     if t0 >= T_meas:
         raise ConfigError("attack start beyond plan horizon")
 
-    F = build_overlap_stack(model, compromised)
-    cold = det == "I" and rank_with_tol(F) < model.n and not _reset_times(
-        policy, compromised, 0, T_meas)
     verdict = (pa_over_time_id2 if det == "II" else pa_over_time_id1)(model, compromised)
     if not verdict:
         raise NotPerfectlyAttackable(verdict.notes)
-    if cold:
+    # ID_I's verdict on a rank-deficient F: the attack propagates through null(F)
+    if (verdict.branch == BRANCH_RANK_DEFICIENT_OVERLAP
+            and not _reset_times(policy, compromised, 0, T_meas)):
         eta = 100.0 if epsilon is None else float(epsilon)
-        return _cold_start_plan(model, compromised, F, horizon, eta, t0)
+        return _cold_start_plan(model, compromised, horizon, eta, t0)
     if noise is None:
         raise ConfigError("ramped synthesis needs the scenario noise stream")
     return _ramped_plan(model, compromised, det, horizon, noise, policy, t0,
@@ -340,14 +337,14 @@ def _roll_forward(model: SystemModel, compromised: SensorSet, inj: np.ndarray,
     return entries, zeta_hist
 
 
-def _cold_start_plan(model: SystemModel, compromised: SensorSet, F: np.ndarray,
-                     horizon: int, eta: float, t0: int) -> AttackPlan:
+def _cold_start_plan(model: SystemModel, compromised: SensorSet, horizon: int,
+                     eta: float, t0: int) -> AttackPlan:
     T_meas = horizon + model.N - 1
     # a stable A shrinks the propagated state; a growing null-space drive
     # keeps the error above any bound eventually
     stable = not unstable_eigenstructure(model.A)
     gain = 0.05 * max(1.0, eta) if stable else 0.0
-    z = np.real(null_basis(F)[:, 0])
+    z = np.real(null_basis(build_overlap_stack(model, compromised))[:, 0])
     anchor = t0 - (model.N - 1)
     inj = np.zeros((T_meas, model.n))
     inj[anchor] = z / np.linalg.norm(z) * eta

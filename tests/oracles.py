@@ -320,3 +320,112 @@ def stacked_noise_gram_loops(A, C, N, delta_vp, delta_vm):
     if delta_vm == 0 and delta_vp == 0:
         return np.eye(p * N)
     return G
+
+
+# -- the unstable witness, searched twice ------------------------------------------
+#
+# The search as it was before model.unstable_chain became the only one: the
+# eigenvalue groups with every geometric multiplicity, one search for the chain
+# head, and a second eigen-decomposition and clean-stack rebuild for the chain.
+# model.unstable_eigenstructure, unstable_null_intersection and unstable_chain
+# must reproduce them bit for bit.  The rank threshold is written out here as
+# it was in model.null_basis and model.rank_margin.
+
+def _above_threshold(s):
+    from rse_lab.model import RANK_TOL
+    return int(np.sum(s > RANK_TOL * max(1.0, float(s[0]))))
+
+
+def _null_basis_svd(M):
+    M = np.atleast_2d(np.asarray(M))
+    if M.size == 0 or M.shape[0] == 0:
+        return np.eye(M.shape[1])
+    _, s, Vh = np.linalg.svd(M)
+    return Vh[_above_threshold(s):].conj().T
+
+
+def _rank_svd(M):
+    return _above_threshold(np.linalg.svd(M, compute_uv=False))
+
+
+def eig_groups(A):
+    from rse_lab.model import RANK_TOL
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    n = A.shape[0]
+    vals = np.linalg.eig(A)[0]
+    scale = max(1.0, float(np.max(np.abs(vals))) if n else 1.0)
+    tol = max(1e-8 * scale, RANK_TOL * scale * 10)
+    groups = []
+    for lam in sorted(vals, key=lambda z: (-abs(z), np.angle(z))):
+        for g in groups:
+            if abs(lam - g[0]) <= tol:
+                g.append(lam)
+                break
+        else:
+            groups.append([lam])
+    out = []
+    for g in groups:
+        lam = complex(np.mean(g))
+        alg = len(g)
+        geo = n - _rank_svd(A - lam * np.eye(n))
+        out.append((lam, alg, max(1, geo)))
+    return out
+
+
+def unstable_eigenstructure_groups(A):
+    from rse_lab.model import STABILITY_MARGIN
+    out = [(lam, alg, geo) for lam, alg, geo in eig_groups(A)
+           if abs(lam) >= 1.0 - STABILITY_MARGIN]
+    return sorted(out, key=lambda t: (-abs(t[0]), np.angle(t[0])))
+
+
+def unstable_null_intersection_search(model, compromised):
+    from rse_lab.model import RANK_TOL, build_O
+    O_clean = build_O(model, compromised.complement())
+    n = model.n
+    for lam, _alg, _geo in unstable_eigenstructure_groups(model.A):
+        stacked = np.vstack([model.A - lam * np.eye(n), O_clean.astype(complex)])
+        basis = _null_basis_svd(stacked)
+        if basis.shape[1] == 0:
+            continue
+        v = basis[:, 0]
+        if abs(lam.imag) <= RANK_TOL * max(1.0, abs(lam)):
+            lam_r = float(lam.real)
+            j = int(np.argmax(np.abs(v)))
+            v = v * np.exp(-1j * np.angle(v[j]))
+            w = np.real(v)
+            w = w / np.linalg.norm(w)
+            return lam_r, w
+        plane = np.stack([np.real(v), np.imag(v)], axis=1)
+        q, _ = np.linalg.qr(plane)
+        return lam, q
+    return None
+
+
+def unstable_chain_search(model, compromised):
+    from rse_lab.model import build_O
+    hit = unstable_null_intersection_search(model, compromised)
+    if hit is None:
+        return None
+    lam, v = hit
+    if isinstance(lam, complex) or np.ndim(v) == 2:
+        return lam, [v]
+    O_clean = build_O(model, compromised.complement())
+    Z = _null_basis_svd(O_clean)
+    n = model.n
+    alg = 1
+    for lam_g, alg_g, _ in unstable_eigenstructure_groups(model.A):
+        if abs(lam_g - lam) <= 1e-8 * max(1.0, abs(lam)):
+            alg = alg_g
+            break
+    chain = [v]
+    Alam = model.A - lam * np.eye(n)
+    scale = max(1.0, float(np.linalg.norm(model.A, 2)))
+    while len(chain) < alg:
+        coeff, *_ = np.linalg.lstsq(Alam @ Z, chain[-1], rcond=None)
+        cand = Z @ coeff
+        miss = np.linalg.norm(Alam @ cand - chain[-1])
+        if miss > 1e-7 * scale * max(1.0, np.linalg.norm(chain[-1])):
+            break
+        chain.append(cand)
+    return float(lam), chain

@@ -407,20 +407,27 @@ REFERENCE_FINITE = "reference radius, angular_rate and phase must be finite"
     ({"attack.epsilon": float("nan")}, f"{EPSILON}, got nan"),
     ({"attack.epsilon": [1.0]}, f"{EPSILON}, got [1.0]"),
     ({"noise.seed": -1}, "noise seed must be >= 0, got -1"),
+    ({"horizon": {"steps": 0}}, "horizon.steps gives 0 steps; a run needs at least 1"),
+    ({"horizon": {"steps": -5}}, "horizon.steps gives -5 steps; a run needs at least 1"),
+    ({"horizon": {"seconds": 0.001}}, "horizon.seconds gives 0 steps; a run needs at least 1"),
+    ({"horizon": {"seconds": -3.0}}, "horizon.seconds gives -300 steps; a run needs at least 1"),
 ], ids=["dt_zero_seconds", "dt_negative", "dt_nan", "seconds_inf", "noise_lo_nan",
         "noise_hi_inf", "noise_radius_nan", "noise_radius_negative", "reference_radius_nan",
         "reference_rate_inf", "reference_phase_inf", "reference_kind_unknown",
         "compromised_fraction",
         "compromised_string", "auth_sensors_string", "auth_sensors_string_entry",
         "detector_unknown", "gain_nan", "gain_wide", "gain_tall", "epsilon_string",
-        "epsilon_inf", "epsilon_nan", "epsilon_list", "seed_negative"])
+        "epsilon_inf", "epsilon_nan", "epsilon_list", "seed_negative", "steps_zero",
+        "steps_negative", "seconds_under_one_step", "seconds_negative"])
 def test_config_refuses_bad_numbers_and_sensor_lists(tmp_path, capsys, changes, message):
     # the parent ran these (a fractional sensor as its integer part, "12" as
     # sensors 1 and 2, a NaN dt with a horizon in steps) or ended in a
     # ZeroDivisionError or OverflowError traceback; it checked the reference
     # only when a scenario ran, so analyze, which runs none, exited 2; it
     # checked the gain, epsilon and seed only when a run used them (analyze
-    # exited 0, attack ran the gains and ended in numpy errors on the rest)
+    # exited 0, attack ran the gains and ended in numpy errors on the rest);
+    # it loaded a horizon under one step, analyze exited 2 and simulate and
+    # attack blamed the attack start
     doc = _full_doc()
     for path, value in changes.items():
         _set(doc, path, value)

@@ -24,8 +24,8 @@ def test_id1_cases(vtf):
 def _sensor3_injection(vtf, start=0):
     """A VTF run with a constant 50 injected on sensor 3 from step start on."""
     noise = r.NoiseSpec(kind="uniform_elementwise", lo=-.05, hi=.05, seed=4)
-    return r.run_closed_loop(vtf, 60, noise, compromised=r.SensorSet.all(3),
-                             attack=lambda t: np.array([0.0, 0.0, 50.0 if t >= start else 0.0]),
+    attack = lambda ts: np.where(ts[:, None] >= start, [0.0, 0.0, 50.0], 0.0)
+    return r.run_closed_loop(vtf, 60, noise, compromised=r.SensorSet.all(3), attack=attack,
                              x0=np.array([5.0, 5.0]))
 
 

@@ -8,7 +8,8 @@ from rse_lab.model import RANK_TOL, rank_margin, singular_values
 from rse_lab.sim import _slot_kernels, _windows
 
 from conftest import random_observable_model
-from oracles import stacked_noise_gram_loops
+from oracles import (stacked_noise_gram_loops, unstable_chain_search,
+                     unstable_eigenstructure_groups, unstable_null_intersection_search)
 
 
 def test_sensor_set_basics():
@@ -165,6 +166,78 @@ def test_witness_reverification_random():
                 1.0, abs(lam)) * np.linalg.norm(v)
         checked += 1
     assert checked >= 10
+
+
+def _witness_models(rng):
+    """Seeded models for the witness-search comparison, cycling through the
+    kinds of A, Jordan blocks twice as often as the others: general; a
+    Jordan block at lambda in {1, 1.2, -1} of size 2 or 3, its superdiagonal
+    1 or 0.1, and a rotation on or outside the unit circle, each with stable
+    modes filling the state and turned by a random orthogonal matrix; and
+    diagonal with repeated entries.  n runs 2..4, p 1..4 and N 1..4; a draw
+    whose window stack is rank deficient is drawn again.  Rounding splits a
+    turned Jordan block's eigenvalue by about the square root of eps times
+    its superdiagonal, so the 0.1 blocks mostly stay one group and give
+    chains of length 2."""
+    kinds = ["general", "jordan", "complex", "jordan", "diagonal"]
+    count = 0
+    while True:
+        kind = kinds[count % len(kinds)]
+        n, N = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+        if kind == "general":
+            A = rng.normal(size=(n, n))
+            A *= rng.uniform(0.8, 1.4) / max(abs(np.linalg.eigvals(A)))
+        elif kind == "diagonal":
+            A = np.diag(rng.choice([1.3, 1.0, -1.1, 0.5, 0.2], size=n))
+        else:
+            if kind == "jordan":
+                k = int(rng.integers(2, min(n, 3) + 1))
+                head = (rng.choice([1.0, 1.2, -1.0]) * np.eye(k)
+                        + rng.choice([1.0, 0.1]) * np.eye(k, k=1))
+            else:
+                k, rho, th = 2, rng.choice([1.0, 1.1]), rng.uniform(0.2, 3.0)
+                head = rho * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+            A = np.zeros((n, n))
+            A[:k, :k] = head
+            A[k:, k:] = np.diag(rng.uniform(-0.9, 0.9, size=n - k))
+            Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            A = Q @ A @ Q.T
+        p = int(rng.integers(n if N == 1 else 1, 5))
+        try:
+            yield r.SystemModel(A=A, B=None, C=rng.normal(size=(p, n)), delta_w=0.1, N=N)
+        except r.ConfigError:
+            continue
+        count += 1
+
+
+def test_witness_search_matches_the_two_pass_oracle():
+    # model.unstable_chain is the one search for the unstable witness; the
+    # oracle is the search as it was, with unstable_null_intersection run
+    # first and a second eigen-decomposition and clean stack for the chain
+    rng = np.random.default_rng(27)
+    models = itertools.islice(_witness_models(rng), 200)
+    compared = chains = 0
+    for m in models:
+        assert r.unstable_eigenstructure(m.A) == unstable_eigenstructure_groups(m.A)
+        for size in range(m.p + 1):
+            for K in itertools.combinations(range(1, m.p + 1), size):
+                K = r.SensorSet(K, m.p)
+                for got, want in ((r.unstable_chain(m, K), unstable_chain_search(m, K)),
+                                  (r.unstable_null_intersection(m, K),
+                                   unstable_null_intersection_search(m, K))):
+                    if want is None:
+                        assert got is None
+                        continue
+                    (lam, vecs), (lam_w, vecs_w) = got, want
+                    assert type(lam) is type(lam_w) and lam == lam_w
+                    if isinstance(vecs, list):
+                        chains += len(vecs) >= 2
+                        assert len(vecs) == len(vecs_w)
+                    else:
+                        vecs, vecs_w = [vecs], [vecs_w]
+                    assert all(np.array_equal(v, w) for v, w in zip(vecs, vecs_w))
+                compared += 1
+    assert compared >= 1500 and chains >= 20, (compared, chains)
 
 
 def test_full_O_always_rank_n():

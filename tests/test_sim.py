@@ -131,7 +131,7 @@ def test_authentication_soundness(vtf):
 def test_auth_violations_are_recorded(vtf):
     K = r.SensorSet.all(3)
     pol = r.AuthPolicy.periodic([1], 5, 3)
-    bad_attack = lambda t: np.array([1.0, 0.0, 0.0])
+    bad_attack = lambda ts: np.tile([1.0, 0.0, 0.0], (len(ts), 1))
     tr = r.run_closed_loop(vtf, 20, r.NoiseSpec.zero(), compromised=K,
                            attack=bad_attack, policy=pol)
     assert tr.violations and tr.violations[0][0] == 0
@@ -178,15 +178,16 @@ def _all_windows(tr, noise, attack):
     them: zero inputs, or N = 2, where only u(H - 1) enters a rebuilt row."""
     m, H = tr.model, tr.horizon
     assert m.N == 2 or not tr.u.any()
-    assert not tr.violations  # attack(t) is what was delivered
+    assert not tr.violations  # the attack is what was delivered
     T = H + m.N - 1
     vP, vM = noise.draw(T, m.n, m.p)
     u = np.vstack([tr.u, np.zeros((m.N - 1, m.m))])
     x = list(tr.x)
     while len(x) < T:
         x.append(m.A @ x[-1] + m.B @ u[len(x) - 1] + vP[len(x) - 1])
-    y_del = np.array([m.C @ x[t] + vM[t] + (0.0 if attack is None else attack(t))
-                      for t in range(T)])
+    y_del = np.array([m.C @ x[t] + vM[t] for t in range(T)])
+    if attack is not None:
+        y_del += attack(np.arange(T))
     assert np.array_equal(y_del[:H], tr.y_delivered)  # same bits as the plant loop
     return _windows(y_del, u, _slot_kernels(m) @ m.B)
 
@@ -227,7 +228,7 @@ def test_batched_run_matches_per_window_decoding(vtf, stable_two_state):
 
     # a large constant injection on sensor 3: fallback windows decode {3}
     noise = r.NoiseSpec(kind="uniform_elementwise", lo=-.05, hi=.05, seed=4)
-    attack = lambda t: np.array([0.0, 0.0, 50.0])
+    attack = lambda ts: np.tile([0.0, 0.0, 50.0], (len(ts), 1))
     tr = r.run_closed_loop(vtf, 300, noise, compromised=K, attack=attack)
     _assert_matches_per_window(tr, noise, attack)
     assert all(s.indices == (3,) for s in tr.supports)
@@ -282,7 +283,7 @@ def test_indeterminate_counts_windows(vtf, monkeypatch):
 
     monkeypatch.setattr(WindowDecoder, "decode", two_indeterminate)
     noise = r.NoiseSpec(kind="uniform_elementwise", lo=-.05, hi=.05, seed=4)
-    attack = lambda t: np.array([0.0, 0.0, 50.0])
+    attack = lambda ts: np.tile([0.0, 0.0, 50.0], (len(ts), 1))
     tr = r.run_closed_loop(vtf, 40, noise, compromised=r.SensorSet.all(3), attack=attack)
     assert all(s.indices == (3,) for s in tr.supports)  # every window fell back
     assert tr.indeterminate == 40
@@ -339,7 +340,7 @@ def test_feedback_run_matches_per_window_decoding(vtf, monkeypatch):
 
     monkeypatch.setattr(WindowDecoder, "decode", counting)
     noise = r.NoiseSpec(kind="uniform_elementwise", lo=-.05, hi=.05, seed=4)
-    attack = lambda t: np.array([0.0, 0.0, 50.0 if t >= 100 else 0.0])
+    attack = lambda ts: np.where(ts[:, None] >= 100, [0.0, 0.0, 50.0], 0.0)
     tr = r.run_closed_loop(vtf, 400, noise, compromised=K, attack=attack,
                            controller_gain=gain, reference=ref, x0=x0)
     assert len(decoded) == 301  # decode runs for the fallback windows only
@@ -355,8 +356,9 @@ def test_misshaped_attack_or_reference_raises_config_error(vtf):
     gain = np.array([[500.0, 40.0]])
     ref = make_reference(vtf, {"kind": "circle", "radius": 10.0, "angular_rate": 0.1}, 0.01)
     # 10 decoded steps run 11 measurement steps on the VTF model (N = 2, p = 3)
-    for attack in (lambda t: np.zeros(4), lambda t: np.zeros(2),
-                   lambda t: np.zeros(3 if t else 4)):
+    for attack in (lambda ts: np.zeros((len(ts), 4)), lambda ts: np.zeros((len(ts), 2)),
+                   lambda ts: np.zeros((len(ts) - 1, 3)),
+                   lambda t: np.zeros(3)):  # one step's injection, not the run's
         with pytest.raises(r.ConfigError, match=r"attack.*shape \(11, 3\)"):
             r.run_closed_loop(vtf, 10, r.NoiseSpec.zero(), compromised=K, attack=attack)
     wide_x = lambda ts: (np.concatenate([ref(ts)[0], ref(ts)[0][..., :1]], axis=-1),
@@ -398,7 +400,7 @@ def test_reference_array_matches_per_step_calls(vtf, spec):
 
 
 def _nan_at(t_bad, i_bad, value):
-    return lambda t: np.array([value if (t, i) == (t_bad, i_bad) else 0.0 for i in range(3)])
+    return lambda ts: np.where((ts[:, None] == t_bad) & (np.arange(3) == i_bad), value, 0.0)
 
 
 @pytest.mark.parametrize("kwargs,message", [

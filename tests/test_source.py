@@ -61,6 +61,22 @@ def test_closed_loop_step_loop_builds_no_per_run_operators():
     assert not found, f"per-run operators built in the step loop: {found}"
 
 
+def test_closed_loop_reads_the_attack_once():
+    # the attack is one array over the run's steps, as the reference is: one
+    # call on np.arange(T_meas), never a call per step
+    tree = ast.parse((SRC / "sim.py").read_text())
+    (fn,) = [n for n in ast.walk(tree)
+             if isinstance(n, ast.FunctionDef) and n.name == "run_closed_loop"]
+    calls = [n for n in ast.walk(fn)
+             if isinstance(n, ast.Call) and ast.unparse(n.func) == "attack"]
+    assert [ast.unparse(n) for n in calls] == ["attack(np.arange(T_meas))"]
+    repeated = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+                ast.GeneratorExp, ast.Lambda)
+    inside = [n.lineno for n in ast.walk(fn) if isinstance(n, repeated)
+              for m in ast.walk(n) if m is calls[0]]
+    assert not inside, f"attack called inside a loop or comprehension at lines {inside}"
+
+
 def test_public_names_resolve():
     # a name left in __all__ after its definition is gone breaks `import *`
     modules = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__main__")

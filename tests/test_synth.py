@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rse_lab as r
+from rse_lab import synth
 from rse_lab.decoder import WindowDecoder
 from rse_lab.synth import _cold_start_plan, _roll_forward
 
@@ -207,6 +208,25 @@ def test_plan_csv_roundtrip(vtf):
     assert np.allclose(back.entries, plan.entries, atol=1e-10)
 
 
+@pytest.mark.parametrize("offset", [-1, 10 ** 13])
+def test_plan_rows_and_csv_at_any_offset(offset):
+    # at() reads one step or an array of steps, zero outside the plan; the
+    # CSV writes plan times as integers, so 10^13 does not come back as 1e+13
+    K = r.SensorSet.all(3)
+    plan = r.AttackPlan(np.arange(12.0).reshape(4, 3) / 7, offset, K, "I")
+    steps = offset + np.arange(-2, 6)
+    rows = plan.at(steps)
+    assert rows.shape == (8, 3)
+    assert np.array_equal(rows, [plan.at(t) for t in steps.tolist()])
+    assert np.array_equal(rows[2:6], plan.entries) and not rows[[0, 1, 6, 7]].any()
+    back = r.AttackPlan.from_csv(plan.to_csv(), K)
+    assert back.offset == offset and np.allclose(back.entries, plan.entries, rtol=1e-11)
+    empty = r.AttackPlan.from_csv("t,a_1,a_2,a_3\n", K)
+    assert empty.to_csv() == "t,a_1,a_2,a_3\n"
+    assert empty.at(offset).shape == (3,) and empty.at(steps).shape == (8, 3)
+    assert not empty.at(steps).any()
+
+
 def test_single_injection_zero_scalar_no_effect(stable_two_state):
     plan = single_injection_attack(stable_two_state, 0.0)
     assert not plan.entries.any()
@@ -361,12 +381,13 @@ def test_roll_forward_resets_sawtooth(vtf):
         _roll_forward(vtf, K, inj, [5], 1e-9, 1e-9, "ramped")
 
 
-def test_cold_start_refuses_entries_before_start(vtf):
-    # a direction outside null(F) shows up on the sensors before t0
-    F = np.zeros((1, 2))
+def test_cold_start_refuses_entries_before_start(vtf, monkeypatch):
+    # a direction outside null(F) shows up on the sensors before t0: with F
+    # replaced by a zero row, null(F) is the whole plane and z = e_1
+    monkeypatch.setattr(synth, "build_overlap_stack", lambda model, comp: np.zeros((1, 2)))
     with pytest.raises(r.NotPerfectlyAttackable,
                        match=r"nonzero at t=4, before its start t0=5"):
-        _cold_start_plan(vtf, r.SensorSet.all(3), F, 20, 10.0, 5)
+        _cold_start_plan(vtf, r.SensorSet.all(3), 20, 10.0, 5)
 
 
 def _ramp_cases():
