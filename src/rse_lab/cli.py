@@ -27,11 +27,9 @@ from .config import (
 )
 from .decoder import decode as decode_window
 from .detectors import detector_name
-from .model import RANK_TOL, ConfigError
+from .model import MARGIN_BAND, RANK_TOL, ConfigError
 from .sim import _csv_text
 from .synth import NotPerfectlyAttackable
-
-MARGIN_BAND = 10.0  # rank margins below MARGIN_BAND * RANK_TOL are "indeterminate"
 
 
 def _load_scenario(args) -> ScenarioConfig:
@@ -189,9 +187,10 @@ def cmd_reproduce(args) -> int:
     seed = _seed_override(0)
     wrote = []
 
+    # fig2a-c are builtin scenarios; fig3 adds the controller, reference and x0
+    table = builtin_scenarios()
     if fig in ("fig2a", "fig2b"):
-        attack = {"source": "synth"} if fig == "fig2b" else None
-        trace, _ = vtf_scenario(seed=seed, attack=attack).run()
+        trace, _ = table["vtf" if fig == "fig2a" else "vtf-attack"]().run()
         path = os.path.join(args.outdir, f"{fig}.csv")
         _write_series(path, ["t_seconds", "err_norm"],
                       [trace.t * VTF_DT, trace.err_norm])
@@ -200,8 +199,7 @@ def cmd_reproduce(args) -> int:
     elif fig == "fig2c":
         cols = []
         for L in (10, 100):
-            trace, _ = vtf_scenario(f"vtf-auth{L}", seed=seed,
-                                    attack={"source": "synth"}, auth_period=L).run()
+            trace, _ = table[f"vtf-auth{L}"]().run()
             cols.append(trace.err_norm)
             print(f"fig2c L={L}: max err {trace.max_error():.6g}, "
                   f"alarms {trace.alarm_counts()}")

@@ -59,7 +59,7 @@ class ScenarioConfig:
             return None
         if src == "file":
             with open(self.attack["path"]) as fh:
-                return AttackPlan.from_csv(fh.read(), self.compromised, self.detector)
+                return AttackPlan.from_csv(fh.read(), self.compromised)
         return sustained_attack(
             self.model, self.compromised,
             detector=self.detector,

@@ -24,6 +24,7 @@ __all__ = [
     "SensorSet",
     "SystemModel",
     "RANK_TOL",
+    "MARGIN_BAND",
     "STABILITY_MARGIN",
     "build_O",
     "build_overlap_stack",
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-9  # singular values above RANK_TOL times max(1, sigma_max) count toward rank
+MARGIN_BAND = 10.0  # rank margins below MARGIN_BAND * RANK_TOL are borderline
 STABILITY_MARGIN = 1e-9  # eigenvalues with |lambda| >= 1 - STABILITY_MARGIN count as unstable
 
 
@@ -147,15 +149,16 @@ def _threshold(s: np.ndarray) -> float:
 
 def rank_margin(M: np.ndarray) -> tuple[int, float]:
     """Numerical rank plus the normalized distance of the closest singular
-    value to the rank threshold.  A small margin flags a borderline rank
-    verdict."""
+    value to the rank threshold; inf when none is left.  Singular values below
+    the threshold over MARGIN_BAND are exact zeros and set no margin.  A small
+    margin flags a borderline rank verdict."""
     s = singular_values(M)
     if s.size == 0:
         return 0, float("inf")
     thresh = _threshold(s)
-    rank = int(np.sum(s > thresh))
-    margin = float(np.min(np.abs(s - thresh)) / max(1.0, float(s[0])))
-    return rank, margin
+    near = s[s >= thresh / MARGIN_BAND]
+    margin = np.min(np.abs(near - thresh), initial=np.inf) / max(1.0, float(s[0]))
+    return int(np.sum(s > thresh)), float(margin)
 
 
 def null_basis(M: np.ndarray) -> np.ndarray:
@@ -232,9 +235,6 @@ class SystemModel:
     @property
     def p(self) -> int:
         return self.C.shape[0]
-
-    def sensors(self) -> SensorSet:
-        return SensorSet.all(self.p)
 
     def check_sensor_sets(self, **sets: Optional[SensorSet]) -> None:
         """ConfigError unless every given sensor set (None skipped) is sized

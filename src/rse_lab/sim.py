@@ -18,7 +18,6 @@ __all__ = [
     "NoiseBoundViolation",
     "PrecisionLoss",
     "AuthPolicy",
-    "Delivered",
     "SimTrace",
     "apply_attack",
     "run_closed_loop",
@@ -52,10 +51,6 @@ class NoiseSpec:
             raise ConfigError("uniform noise needs lo <= hi")
         if as_int(self.seed, "noise seed") < 0:
             raise ConfigError(f"noise seed must be >= 0, got {self.seed}")
-
-    @classmethod
-    def zero(cls) -> "NoiseSpec":
-        return cls(kind="zero")
 
     def delta_vp(self, n: int) -> float:
         return self._channel_bound(n, self.radius_p)
@@ -136,34 +131,15 @@ class PrecisionLoss(ConfigError):
     """Float rounding of the outputs swamps delta_w, so the decodes lose their meaning."""
 
 
-@dataclass(frozen=True)
-class Delivered:
-    y_delivered: np.ndarray
-    applied_attack: np.ndarray
-    violated: tuple[int, ...]
-
-
-def apply_attack(y: np.ndarray, a: np.ndarray, compromised: SensorSet,
-                 auth_now: SensorSet) -> Delivered:
-    """Deliver y + a with authentication enforced.
-
-    Nonzero injections on authenticated sensors are zeroed AND flagged: the
-    threat model gives the attacker the authentication times, so a violation
-    is a synthesizer bug, not something to hide by silent clipping.
-    """
-    y = np.asarray(y, dtype=float).ravel()
-    a = np.asarray(a, dtype=float).reshape(1, -1).copy()
-    auth = np.zeros(a.shape, dtype=bool)
-    auth[0, list(auth_now.indices0)] = True
-    violations = _enforce(a, compromised, auth)
-    return Delivered(y + a[0], a[0], violations[0][1] if violations else ())
-
-
-def _enforce(a: np.ndarray, compromised: SensorSet, auth: np.ndarray) -> list:
-    """Zero, in place, the nonzero entries of the stacked injections a (T, p)
-    on sensors authenticated at that step (auth, (T, p) bool), and return the
-    violations as (t, sensors) pairs.  A nonzero injection on a sensor
-    outside the compromised set raises ConfigError."""
+def apply_attack(a: np.ndarray, compromised: SensorSet,
+                 auth: np.ndarray) -> tuple[np.ndarray, list]:
+    """The stacked injections a (T, p) with authentication enforced: a copy
+    with each nonzero entry on a sensor authenticated at that step (auth,
+    (T, p) bool) set to zero, and those violations as (t, sensors) pairs.  The
+    attacker knows the authentication times, so a violation is a synthesizer
+    bug, flagged, not silently clipped.  A nonzero injection outside the
+    compromised set raises ConfigError."""
+    a = np.array(a, dtype=float)
     outside = np.ones(a.shape[1], dtype=bool)
     outside[list(compromised.indices0)] = False
     rows = np.flatnonzero((a[:, outside] != 0.0).any(axis=1))
@@ -172,8 +148,8 @@ def _enforce(a: np.ndarray, compromised: SensorSet, auth: np.ndarray) -> list:
         raise ConfigError(f"attack support {bad} outside compromised set {compromised}")
     hit = auth & (a != 0.0)
     a[hit] = 0.0
-    return [(int(t), tuple(int(i) + 1 for i in np.flatnonzero(hit[t])))
-            for t in np.flatnonzero(hit.any(axis=1))]
+    return a, [(int(t), tuple(int(i) + 1 for i in np.flatnonzero(hit[t])))
+               for t in np.flatnonzero(hit.any(axis=1))]
 
 
 @dataclass
@@ -317,10 +293,10 @@ def run_closed_loop(model: SystemModel,
     T = horizon + N - 1: attack returns the requested injections as a (T, p)
     array (AttackPlan.at does), reference x_ref and the feedforward u_ff as
     (T, n) and (T, m) arrays (see config.make_reference); other shapes raise
-    ConfigError.  A nonzero attack entry on a sensor authenticated at t is a
-    violation: it is zeroed before delivery and recorded as (t, sensors) in
-    SimTrace.violations.  A nonzero entry outside the compromised set raises
-    ConfigError.
+    ConfigError.  apply_attack enforces authentication on the whole attack at
+    once: a nonzero entry on a sensor authenticated at t is zeroed before
+    delivery and recorded as (t, sensors) in SimTrace.violations, and a
+    nonzero entry outside the compromised set raises ConfigError.
     Raises NoiseBoundViolation when the drawn noise leaves the model's
     declared per-slot window-noise bound delta_w, or when an attack-free run breaks
     its error bound; PrecisionLoss instead when there eps * max ||y_t|| >= delta_w / 100.
@@ -352,9 +328,9 @@ def run_closed_loop(model: SystemModel,
     # attack and authentication: plans and schedules are fixed in advance, so
     # they are enforced over every step at once
     auth = np.zeros((T_meas, p), dtype=bool) if policy is None else policy.mask(T_meas)
-    a_applied = np.zeros((T_meas, p)) if attack is None else _shaped(
+    requested = np.zeros((T_meas, p)) if attack is None else _shaped(
         attack(np.arange(T_meas)), (T_meas, p), "attack(t) on the array of steps t")
-    violations = _enforce(a_applied, comp, auth)
+    a_applied, violations = apply_attack(requested, comp, auth)
 
     x = np.zeros((T_meas + 1, n))
     if x0 is not None:

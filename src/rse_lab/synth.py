@@ -55,7 +55,6 @@ class AttackPlan:
     entries: np.ndarray          # (T, p) injected vectors for t = offset .. offset+T-1
     offset: int
     compromised: SensorSet
-    target_detector: str
     epsilon: float = 0.0
     zeta: Optional[np.ndarray] = None       # generator state per step, same indexing
     injections: list = field(default_factory=list)  # (t, state-space vector)
@@ -83,8 +82,7 @@ class AttackPlan:
                          [self.offset + np.arange(self.horizon), *self.entries.T])
 
     @classmethod
-    def from_csv(cls, text: str, compromised: SensorSet,
-                 detector: str = "I") -> "AttackPlan":
+    def from_csv(cls, text: str, compromised: SensorSet) -> "AttackPlan":
         """Read to_csv's format.  A row whose width differs from the header's,
         a time that is not an integer or repeats, or an entry that is not a
         number raises ConfigError naming the line."""
@@ -112,7 +110,7 @@ class AttackPlan:
         entries = np.zeros((max(rows, default=t0 - 1) - t0 + 1, p))
         for t, v in rows.items():
             entries[t - t0] = v
-        return cls(entries, t0, compromised, detector)
+        return cls(entries, t0, compromised)
 
 
 # -- sustained attacks --------------------------------------------------------
@@ -235,9 +233,10 @@ class _SlackLedger:
 def _reset_times(policy: Optional[AuthPolicy], compromised: SensorSet,
                  start: int, t_end: int) -> list[int]:
     """Authentication times in start..t_end-1 that reach a compromised sensor."""
-    if policy is None or not set(policy.sensors) & set(compromised):
+    if policy is None:
         return []
-    return list(range(start + (policy.phase - start) % policy.period, t_end, policy.period))
+    hit = policy.mask(t_end)[start:, list(compromised.indices0)].any(axis=1)
+    return (start + np.flatnonzero(hit)).tolist()
 
 
 def sustained_attack(model: SystemModel, compromised: SensorSet, *, detector: str = "II",
@@ -258,13 +257,15 @@ def sustained_attack(model: SystemModel, compromised: SensorSet, *, detector: st
     stacked norm ||O v|| of every injection v.  A policy authenticating
     compromised sensors turns the plan into a sawtooth that returns the
     attacker state to zero exactly at every enforcement time; growth is then
-    bounded, as the policy analysis predicts.  A period below 1 or an epsilon
-    that is not a finite number >= 0 raises ConfigError.
+    bounded, as the policy analysis predicts.  A horizon or period below 1, or
+    an epsilon that is not a finite number >= 0, raises ConfigError.
     """
     det = detector_name(detector)
     model.check_sensor_sets(compromised=compromised,
                             policy=None if policy is None else policy.sensors)
     horizon = as_int(horizon, "attack horizon")
+    if horizon < 1:
+        raise ConfigError(f"attack horizon must be >= 1, got {horizon}")
     period = as_int(period, "attack period")
     if period < 1:
         raise ConfigError(f"attack period must be >= 1, got {period}")
@@ -287,8 +288,7 @@ def sustained_attack(model: SystemModel, compromised: SensorSet, *, detector: st
         return _cold_start_plan(model, compromised, horizon, eta, t0)
     if noise is None:
         raise ConfigError("ramped synthesis needs the scenario noise stream")
-    return _ramped_plan(model, compromised, det, horizon, noise, policy, t0,
-                        period, epsilon)
+    return _ramped_plan(model, compromised, horizon, noise, policy, t0, period, epsilon)
 
 
 def _check_epsilon(epsilon) -> None:
@@ -359,14 +359,14 @@ def _cold_start_plan(model: SystemModel, compromised: SensorSet, horizon: int,
             f"cold-start attack is nonzero at t={early[0]}, before its start t0={t0}")
     entries[:t0] = 0.0
     injections = [(t, inj[t]) for t in range(anchor, T_meas if gain else anchor + 1)]
-    return AttackPlan(entries, 0, compromised, "I", epsilon=eta, zeta=zeta_hist,
+    return AttackPlan(entries, 0, compromised, epsilon=eta, zeta=zeta_hist,
                       injections=injections,
                       notes=f"cold start through null(F), eta={eta:g}, drive gain={gain:g}")
 
 
-def _ramped_plan(model: SystemModel, compromised: SensorSet, det: str,
-                 horizon: int, noise: NoiseSpec, policy: Optional[AuthPolicy],
-                 t0: int, period: int, eps_cap: Optional[float]) -> AttackPlan:
+def _ramped_plan(model: SystemModel, compromised: SensorSet, horizon: int,
+                 noise: NoiseSpec, policy: Optional[AuthPolicy], t0: int, period: int,
+                 eps_cap: Optional[float]) -> AttackPlan:
     T_meas = horizon + model.N - 1
     basis = _ChainBasis(model, compromised)
     if not basis.growing:
@@ -408,7 +408,7 @@ def _ramped_plan(model: SystemModel, compromised: SensorSet, det: str,
     inj = np.zeros((T_meas, model.n))
     inj[taus] += vecs
     entries, zeta_hist = _roll_forward(model, compromised, inj, resets, 1e-9, 1e-9, "ramped")
-    return AttackPlan(entries, 0, compromised, det, zeta=zeta_hist,
+    return AttackPlan(entries, 0, compromised, zeta=zeta_hist,
                       epsilon=float(np.linalg.norm(model.O_full() @ vecs[0])),
                       injections=list(zip(taus.tolist(), vecs)),
                       notes=f"noise-slack ramp, {len(taus)} injections, resets={len(resets)}")

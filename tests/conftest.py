@@ -76,7 +76,7 @@ def single_injection_attack(model, s):
         raise r.NotPerfectlyAttackable(
             "single-injection construction is specific to the two-state fixture")
     entries = np.array([[0.0], [float(s)], [0.0]])
-    return r.AttackPlan(entries, -1, r.SensorSet.of([1], 1), "I", epsilon=abs(float(s)),
+    return r.AttackPlan(entries, -1, r.SensorSet.of([1], 1), epsilon=abs(float(s)),
                         notes="single injection at t=0")
 
 

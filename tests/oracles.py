@@ -206,8 +206,7 @@ def roll_forward_full(model, compromised, inj, resets, atol, rtol, what):
     return entries, zeta_hist
 
 
-def ramped_plan_greedy(model, compromised, det, horizon, noise, policy, t0,
-                       period, eps_cap):
+def ramped_plan_greedy(model, compromised, horizon, noise, policy, t0, period, eps_cap):
     """synth._ramped_plan with one scale() and commit() per injection."""
     from rse_lab.sim import effective_window_noise
     from rse_lab.synth import AttackPlan, NotPerfectlyAttackable, _ChainBasis, _reset_times
@@ -268,7 +267,7 @@ def ramped_plan_greedy(model, compromised, det, horizon, noise, policy, t0,
     entries, zeta_hist = roll_forward_full(model, compromised, inj, resets, 1e-9, 1e-9,
                                            "ramped")
     eps0 = float(np.linalg.norm(model.O_full() @ injections[0][1]))
-    return AttackPlan(entries, 0, compromised, det, epsilon=eps0, zeta=zeta_hist,
+    return AttackPlan(entries, 0, compromised, epsilon=eps0, zeta=zeta_hist,
                       injections=injections,
                       notes=f"noise-slack ramp, {len(injections)} injections, "
                             f"resets={len(resets)}")
@@ -293,7 +292,7 @@ def plan_outcome(build, *args, **kwargs):
     return ("plan", plan.offset, plan.entries.shape, plan.entries.tobytes(),
             None if plan.zeta is None else plan.zeta.tobytes(),
             [(type(t).__name__, int(t), np.asarray(v).tobytes()) for t, v in plan.injections],
-            plan.epsilon, plan.notes, plan.target_detector)
+            plan.epsilon, plan.notes)
 
 
 def stacked_noise_gram_loops(A, C, N, delta_vp, delta_vm):

@@ -66,7 +66,7 @@ def sweep_calls():
             for horizon in (60, 300, 2500):
                 yield "cold_start", stable, r.SensorSet.all(1), dict(
                     detector="I", horizon=horizon, epsilon=eps, start=start,
-                    noise=r.NoiseSpec.zero())
+                    noise=r.NoiseSpec(kind="zero"))
 
     rng = np.random.default_rng(415)
     for _ in range(40):

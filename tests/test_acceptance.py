@@ -319,7 +319,7 @@ def test_criterion_8_stealth_hierarchy(stable_two_state):
     K = r.SensorSet.all(1)
     plan = r.sustained_attack(stable_two_state, K, detector="I", horizon=300,
                               epsilon=500.0)
-    tr = r.run_closed_loop(stable_two_state, 300, r.NoiseSpec.zero(), compromised=K,
+    tr = r.run_closed_loop(stable_two_state, 300, r.NoiseSpec(kind="zero"), compromised=K,
                            attack=plan.as_callable())
     TRACES.append(("c8-coldstart", tr))
     assert int(np.sum(tr.alarm_id2)) > 0  # the innovation check does fire here

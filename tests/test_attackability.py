@@ -179,11 +179,12 @@ NOISE = r.NoiseSpec(seed=1)
     lambda m: r.run_closed_loop(m, 20, NOISE, policy=r.AuthPolicy.periodic([1], 5, 4)),
     lambda m: r.run_closed_loop(m, 20, NOISE, compromised=FOUR),
     lambda m: r.sustained_attack(m, FOUR, horizon=50, noise=NOISE),
-    lambda m: r.sustained_attack(m, m.sensors(), horizon=50, noise=NOISE,
+    lambda m: r.sustained_attack(m, r.SensorSet.all(m.p), horizon=50, noise=NOISE,
                                  policy=r.AuthPolicy.periodic([1], 5, 4)),
-    lambda m: r.policy_prevents_pa(m, m.sensors(), r.AuthPolicy.periodic([1, 4], 5, 4),
+    lambda m: r.policy_prevents_pa(m, r.SensorSet.all(m.p), r.AuthPolicy.periodic([1, 4], 5, 4),
                                    r.SensorSet.of([1], 3)),
-    lambda m: r.policy_prevents_pa(m, m.sensors(), r.AuthPolicy.periodic([1, 2], 5, 3), FOUR),
+    lambda m: r.policy_prevents_pa(m, r.SensorSet.all(m.p), r.AuthPolicy.periodic([1, 2], 5, 3),
+                                   FOUR),
     lambda m: r.policy_prevents_pa(m, FOUR, r.AuthPolicy.periodic([1, 2], 5, 3),
                                    r.SensorSet.of([1], 3)),
     lambda m: r.pa_single_step(m, FOUR),

@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -9,6 +10,9 @@ import pytest
 
 import rse_lab as r
 from rse_lab.cli import main
+from rse_lab.model import MARGIN_BAND, RANK_TOL
+
+CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
 
 
 def run_cli(args):
@@ -175,6 +179,19 @@ def test_analyze_borderline_margin_exit_3(tmp_path):
     assert run_cli(["analyze", "--config", str(cfg)]) == 3
 
 
+def test_analyze_exact_rank_deficiency_is_not_borderline(tmp_path, capsys):
+    # only the position sensor is attacked: the velocity rows cannot see
+    # position, so the clean stack loses rank exactly, at a zero singular
+    # value, and the verdict "attackable" (exit 2) stands; it was reported as
+    # borderline (exit 3) with margin 1e-9
+    doc = json.loads((CONFIGS / "vtf_attack.json").read_text())
+    cfg = tmp_path / "position_only.json"
+    cfg.write_text(json.dumps(dict(doc, compromised=[1])))
+    assert run_cli(["analyze", "--config", str(cfg)]) == 2
+    single = json.loads(capsys.readouterr().out)["pa_single_step"]
+    assert single["attackable"] and single["margin"] > MARGIN_BAND * RANK_TOL
+
+
 def test_reproduce_fig2b_growth(tmp_path):
     assert run_cli(["reproduce", "fig2b", "--outdir", str(tmp_path)]) == 0
     rows = np.loadtxt(tmp_path / "fig2b.csv", delimiter=",", skiprows=1)
@@ -246,18 +263,16 @@ def test_simulate_batch(tmp_path, capsys):
 
 
 def test_bundled_config_files_load():
-    import pathlib
-    configs = pathlib.Path(__file__).parent.parent / "configs"
     for name in ("vtf_attack.json", "vtf_auth10.json"):
-        cfg = r.load_config(str(configs / name))
+        cfg = r.load_config(str(CONFIGS / name))
         assert cfg.model.p == 3 and cfg.horizon == 6000
-    assert run_cli(["analyze", "--config", str(configs / "vtf_auth10.json")]) == 0
+    assert run_cli(["analyze", "--config", str(CONFIGS / "vtf_auth10.json")]) == 0
 
 
 def test_seed_env_applies_where_scenarios_come_in(tmp_path, monkeypatch, capsys):
     # the override replaces the seed of scenarios that come in from outside,
     # never the seed a library caller passes (fig3's y axis draws seed + 1)
-    from rse_lab import cli
+    from rse_lab import cli, config
     monkeypatch.setenv("RSE_LAB_SEED", "7")
     assert r.vtf_scenario(seed=8).noise.seed == 8
     args = cli.build_parser().parse_args(["simulate", "--builtin", "vtf"])
@@ -266,9 +281,10 @@ def test_seed_env_applies_where_scenarios_come_in(tmp_path, monkeypatch, capsys)
                       "delta_w": "auto"},
            "noise": {"kind": "uniform_elementwise", "lo": -0.05, "hi": 0.05, "seed": 0}}
     assert r.parse_config(doc).noise.seed == 7
+    # reproduce's fig2a is the builtin vtf scenario, which config.vtf_scenario makes
     seeds = []
-    real = cli.vtf_scenario
-    monkeypatch.setattr(cli, "vtf_scenario",
+    real = config.vtf_scenario
+    monkeypatch.setattr(config, "vtf_scenario",
                         lambda *a, **kw: seeds.append(kw["seed"]) or real(*a, **kw))
     assert run_cli(["reproduce", "fig2a", "--outdir", str(tmp_path)]) == 0
     assert seeds == [7]

@@ -31,7 +31,7 @@ def _sensor3_injection(vtf, start=0):
 
 def test_id2_degrades_to_id1_at_start(vtf):
     # the first window has no predecessor: its innovation is 0 and ID_II is ID_I
-    quiet = r.run_closed_loop(vtf, 60, r.NoiseSpec.zero(), x0=np.array([5.0, 5.0]))
+    quiet = r.run_closed_loop(vtf, 60, r.NoiseSpec(kind="zero"), x0=np.array([5.0, 5.0]))
     assert quiet.innovation[0] == 0.0 and not quiet.alarm_id2[0]
     attacked = _sensor3_injection(vtf)
     assert attacked.innovation[0] == 0.0
@@ -76,8 +76,9 @@ def test_id2_known_input_compensation(vtf):
     # in closed loop the run compensates the input it applied: starting 5 off
     # the reference, the first inputs move the state by far more than d
     ref = make_reference(vtf, {"kind": "circle", "radius": 5.0, "angular_rate": 0.2}, 0.01)
-    tr = r.run_closed_loop(vtf, 300, r.NoiseSpec.zero(), controller_gain=np.array([[500.0, 40.0]]),
-                           reference=ref, x0=np.zeros(2))
+    tr = r.run_closed_loop(vtf, 300, r.NoiseSpec(kind="zero"),
+                           controller_gain=np.array([[500.0, 40.0]]), reference=ref,
+                           x0=np.zeros(2))
     raw, _ = r.innovation_check(vtf, tr.x_hat[1:], tr.x_hat[:-1], d, None)
     assert raw.max() > 10 * d
     assert tr.alarm_counts() == (0, 0) and tr.innovation.max() < 1e-9

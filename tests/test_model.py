@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rse_lab as r
-from rse_lab.model import RANK_TOL, rank_margin, singular_values
+from rse_lab.model import MARGIN_BAND, RANK_TOL, rank_margin, singular_values
 from rse_lab.sim import _slot_kernels, _windows
 
 from conftest import random_observable_model
@@ -90,8 +90,13 @@ def test_rank_scale_and_permutation_invariance():
 
 
 def test_rank_margin_reports_threshold_distance():
+    # a singular value inside the band around the threshold is borderline; one
+    # below the threshold over MARGIN_BAND is an exact zero and sets no margin
+    rank, margin = rank_margin(np.diag([1.0, 2e-9]))
+    assert rank == 2 and margin < MARGIN_BAND * RANK_TOL
     rank, margin = rank_margin(np.diag([1.0, 1e-12]))
-    assert rank == 1 and margin < 1e-9
+    assert rank == 1 and margin == pytest.approx(1.0 - RANK_TOL)
+    assert rank_margin(np.zeros((2, 2))) == (0, float("inf"))
 
 
 def test_unstable_eigenstructure_cases(stable_two_state, vtf):
@@ -316,7 +321,7 @@ def test_window_stacks_match_their_entry_by_entry_constructions(vtf, monkeypatch
         auth = r.SensorSet.of(range(1, m.p), m.p)
         for L in (1, 3, 10):
             seen.clear()
-            checks = r.policy_prevents_pa(m, m.sensors(), r.AuthPolicy(auth, L), auth,
+            checks = r.policy_prevents_pa(m, r.SensorSet.all(m.p), r.AuthPolicy(auth, L), auth,
                                           detector="I").checks
             if "key_rank" in checks:
                 key_old = [m.C[list(auth.indices0)]]

@@ -8,16 +8,18 @@ from rse_lab.sim import _slot_kernels, _windows
 
 from conftest import random_observable_model
 
+ZERO = r.NoiseSpec(kind="zero")
+
 
 def test_step_examples(stable_two_state, vtf):
     # one noiseless plant step of the closed loop: x(1) = A x(0), y(0) = C x(0)
-    tr = r.run_closed_loop(stable_two_state, 2, r.NoiseSpec.zero(), x0=[1.0, 0.0])
+    tr = r.run_closed_loop(stable_two_state, 2, ZERO, x0=[1.0, 0.0])
     assert np.allclose(tr.x[1], [0.3, 0.0])
     assert np.allclose(tr.y[0], [1.0])
-    tr = r.run_closed_loop(vtf, 2, r.NoiseSpec.zero(), x0=[0.0, 1.0])
+    tr = r.run_closed_loop(vtf, 2, ZERO, x0=[0.0, 1.0])
     assert np.allclose(tr.x[1], [0.01, 1.0])
     with pytest.raises(r.ConfigError, match="x0"):
-        r.run_closed_loop(vtf, 2, r.NoiseSpec.zero(), x0=[0.0, 1.0, 2.0])
+        r.run_closed_loop(vtf, 2, ZERO, x0=[0.0, 1.0, 2.0])
 
 
 def test_noise_spec_bounds_and_determinism():
@@ -31,25 +33,42 @@ def test_noise_spec_bounds_and_determinism():
     vP, vM = ball.draw(500, 3, 2)
     assert np.all(np.linalg.norm(vP, axis=1) <= .1 + 1e-12)
     assert np.all(np.linalg.norm(vM, axis=1) <= .2 + 1e-12)
-    z = r.NoiseSpec.zero()
-    vP, vM = z.draw(10, 2, 2)
+    vP, vM = ZERO.draw(10, 2, 2)
     assert not vP.any() and not vM.any()
 
 
 def test_apply_attack_cases():
     K = r.SensorSet.of([1, 2, 3], 3)
-    y = np.array([1.0, 2.0, 3.0])
-    out = r.apply_attack(y, np.zeros(3), K, r.SensorSet.empty(3))
-    assert np.allclose(out.y_delivered, y) and out.violated == ()
-    out = r.apply_attack(y, np.array([1, 2, 3.0]), K, r.SensorSet.empty(3))
-    assert np.allclose(out.y_delivered, [2, 4, 6.0])
-    out = r.apply_attack(y, np.array([1, 0, 0.0]), r.SensorSet.of([1], 3),
-                         r.SensorSet.of([1], 3))
-    assert out.violated == (1,)
-    assert np.allclose(out.y_delivered, y)  # enforcement zeroes the entry
-    with pytest.raises(r.ConfigError):
-        r.apply_attack(y, np.array([0, 1.0, 0]), r.SensorSet.of([1], 3),
-                       r.SensorSet.empty(3))
+    a = np.array([[0, 0, 0.0], [1, 2, 3.0], [1, 0, 2.0]])
+    auth = np.zeros((3, 3), dtype=bool)
+    applied, violations = r.apply_attack(a, K, auth)
+    assert np.array_equal(applied, a) and applied is not a and violations == []
+    # authenticated steps: nonzero entries there are zeroed and flagged, zero
+    # entries are no violation, and the requested injections stay as they were
+    auth[0] = True
+    auth[2] = [True, True, False]
+    applied, violations = r.apply_attack(a, K, auth)
+    assert violations == [(2, (1,))]
+    assert np.array_equal(applied, [[0, 0, 0], [1, 2, 3], [0, 0, 2]])
+    assert a[2, 0] == 1.0
+    with pytest.raises(r.ConfigError, match=r"support \[2\] outside"):
+        r.apply_attack(np.array([[0, 0, 0], [0, 1.0, 0]]), r.SensorSet.of([1], 3),
+                       np.zeros((2, 3), dtype=bool))
+
+
+def test_closed_loop_enforces_through_apply_attack_once(vtf, monkeypatch):
+    # one enforcement per run, looked up by its module-level name so that a
+    # wrapper installed on rse_lab.sim sees it
+    calls = []
+    real = r.sim.apply_attack
+    monkeypatch.setattr(r.sim, "apply_attack", lambda *a: calls.append(a) or real(*a))
+    K = r.SensorSet.all(3)
+    pol = r.AuthPolicy.periodic([1], 4, 3)
+    tr = r.run_closed_loop(vtf, 20, ZERO, compromised=K, policy=pol,
+                           attack=lambda t: np.ones((len(t), 3)))
+    assert len(calls) == 1
+    assert tr.violations == [(t, (1,)) for t in range(0, 21, 4)]  # 21 measured steps
+    assert not tr.attack[::4, 0].any() and tr.attack[1::4].all()
 
 
 def test_auth_policy_schedules():
@@ -80,7 +99,7 @@ def test_replay_determinism(vtf):
 
 
 def test_noiseless_exact_recovery(stable_two_state):
-    tr = r.run_closed_loop(stable_two_state, 50, r.NoiseSpec.zero(),
+    tr = r.run_closed_loop(stable_two_state, 50, ZERO,
                            x0=np.array([1.0, -2.0]))
     assert tr.max_error() <= 1e-9
     assert tr.alarm_counts() == (0, 0)
@@ -88,11 +107,11 @@ def test_noiseless_exact_recovery(stable_two_state):
 
 def test_known_input_compensation_exact(vtf):
     # nonzero control & reference, zero noise: decoded state matches exactly
-    ref = r.ScenarioConfig(model=vtf, noise=r.NoiseSpec.zero(),
+    ref = r.ScenarioConfig(model=vtf, noise=ZERO,
                            compromised=r.SensorSet.empty(3), dt=0.01,
                            reference={"kind": "circle", "radius": 5.0,
                                       "angular_rate": 0.2}).reference_fn()
-    tr = r.run_closed_loop(vtf, 300, r.NoiseSpec.zero(),
+    tr = r.run_closed_loop(vtf, 300, ZERO,
                            controller_gain=np.array([[500.0, 40.0]]),
                            reference=ref, x0=np.array([5.0, 0.0]))
     assert tr.max_error() <= 1e-8
@@ -132,7 +151,7 @@ def test_auth_violations_are_recorded(vtf):
     K = r.SensorSet.all(3)
     pol = r.AuthPolicy.periodic([1], 5, 3)
     bad_attack = lambda ts: np.tile([1.0, 0.0, 0.0], (len(ts), 1))
-    tr = r.run_closed_loop(vtf, 20, r.NoiseSpec.zero(), compromised=K,
+    tr = r.run_closed_loop(vtf, 20, ZERO, compromised=K,
                            attack=bad_attack, policy=pol)
     assert tr.violations and tr.violations[0][0] == 0
 
@@ -236,8 +255,8 @@ def test_batched_run_matches_per_window_decoding(vtf, stable_two_state):
 
     # delta_w = 0: Omega is the zero residual, so exactly the windows whose
     # fast-path residual is not exactly zero fall back
-    tr = r.run_closed_loop(stable_two_state, 50, r.NoiseSpec.zero(), x0=np.array([1.0, -2.0]))
-    _assert_matches_per_window(tr, r.NoiseSpec.zero())
+    tr = r.run_closed_loop(stable_two_state, 50, ZERO, x0=np.array([1.0, -2.0]))
+    _assert_matches_per_window(tr, ZERO)
     dec = WindowDecoder(stable_two_state)
     Y = np.stack([tr.y_delivered[s:s + 2].T.ravel() for s in range(tr.horizon - 1)])
     _, fallback = dec.decode_batch(Y)
@@ -360,17 +379,17 @@ def test_misshaped_attack_or_reference_raises_config_error(vtf):
                    lambda ts: np.zeros((len(ts) - 1, 3)),
                    lambda t: np.zeros(3)):  # one step's injection, not the run's
         with pytest.raises(r.ConfigError, match=r"attack.*shape \(11, 3\)"):
-            r.run_closed_loop(vtf, 10, r.NoiseSpec.zero(), compromised=K, attack=attack)
+            r.run_closed_loop(vtf, 10, ZERO, compromised=K, attack=attack)
     wide_x = lambda ts: (np.concatenate([ref(ts)[0], ref(ts)[0][..., :1]], axis=-1),
                          ref(ts)[1])
     with pytest.raises(r.ConfigError, match=r"x_ref.*shape \(11, 2\)"):
-        r.run_closed_loop(vtf, 10, r.NoiseSpec.zero(), controller_gain=gain, reference=wide_x)
+        r.run_closed_loop(vtf, 10, ZERO, controller_gain=gain, reference=wide_x)
     one_step = lambda t: (np.zeros(2), np.zeros(1))  # ignores the array of steps
     with pytest.raises(r.ConfigError, match=r"x_ref.*shape \(11, 2\)"):
-        r.run_closed_loop(vtf, 10, r.NoiseSpec.zero(), reference=one_step)
+        r.run_closed_loop(vtf, 10, ZERO, reference=one_step)
     two_inputs = lambda ts: (ref(ts)[0], np.zeros((len(ts), 2)))
     with pytest.raises(r.ConfigError, match=r"u_ff.*shape \(11, 1\)"):
-        r.run_closed_loop(vtf, 10, r.NoiseSpec.zero(), reference=two_inputs)
+        r.run_closed_loop(vtf, 10, ZERO, reference=two_inputs)
 
 
 @pytest.mark.parametrize("spec", [

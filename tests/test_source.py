@@ -162,20 +162,50 @@ def _defines(node, name: str) -> bool:
     return any(isinstance(t, ast.Name) and t.id == name for t in targets)
 
 
+def _library_trees() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")
+            if p.stem not in ("__init__", "__main__")}
+
+
+def _public(tree: ast.Module) -> list[str]:
+    """The module's __all__, empty when it has none."""
+    return next((ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and _defines(node, "__all__")), [])
+
+
 def test_public_names_have_library_callers():
     # a public name that only tests reach is a second copy of something, or
     # dead: each one is read by another library module, by its own module
     # outside its definition, or by the bench
-    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")
-             if p.stem not in ("__init__", "__main__")}
+    trees = _library_trees()
     bench = {name for chain in _bench_names() for name in chain}
     orphans = []
     for stem, tree in sorted(trees.items()):
-        public = next((ast.literal_eval(node.value) for node in tree.body
-                       if isinstance(node, ast.Assign) and _defines(node, "__all__")), [])
+        public = _public(tree)
         others = _names_read(t for s, t in trees.items() if s != stem)
         for name in public:
             own = _names_read(node for node in tree.body if not _defines(node, name))
             if name not in others | own | bench:
                 orphans.append(f"{stem}.{name}")
     assert not orphans, f"public names with no caller in src/ or bench/: {orphans}"
+
+
+def test_public_methods_have_library_readers():
+    # the same for the methods, properties and classmethods of every class in
+    # a module's __all__: each is read as an attribute somewhere in src/ or
+    # reached by the bench as Class.method.  The match is by attribute name
+    # alone, so a method named like an attribute read elsewhere passes
+    # (SystemModel.sensors() once hid behind AuthPolicy.sensors); dataclass
+    # fields are data, not methods, and are exempt
+    trees = _library_trees()
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    bench = {chain[-2:] for chain in _bench_names()}
+    orphans = [f"{stem}.{cls.name}.{fn.name}"
+               for stem, tree in sorted(trees.items())
+               for cls in tree.body
+               if isinstance(cls, ast.ClassDef) and cls.name in _public(tree)
+               for fn in cls.body
+               if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+               and fn.name not in read and (cls.name, fn.name) not in bench]
+    assert not orphans, f"public methods with no reader in src/ or bench/: {orphans}"

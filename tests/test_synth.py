@@ -8,6 +8,8 @@ from rse_lab.synth import _cold_start_plan, _roll_forward
 
 from conftest import single_injection_attack
 
+ZERO = r.NoiseSpec(kind="zero")
+
 
 def run_and_check_stealth(model, plan, noise, policy=None, horizon=None):
     K = plan.compromised
@@ -123,13 +125,13 @@ def test_sustained_window_consistency(vtf):
 def test_sustained_refuses_stable_full_rank(stable_two_state_n3):
     with pytest.raises(r.NotPerfectlyAttackable):
         r.sustained_attack(stable_two_state_n3, r.SensorSet.all(1), detector="I",
-                           horizon=100, noise=r.NoiseSpec.zero())
+                           horizon=100, noise=ZERO)
 
 
 def test_sustained_refuses_detector2_on_stable(stable_two_state):
     with pytest.raises(r.NotPerfectlyAttackable):
         r.sustained_attack(stable_two_state, r.SensorSet.all(1), detector="II",
-                           horizon=100, noise=r.NoiseSpec.zero())
+                           horizon=100, noise=ZERO)
 
 
 def test_sustained_rejects_bad_period_and_epsilon(vtf, stable_two_state):
@@ -156,12 +158,43 @@ def test_sustained_rejects_bad_period_and_epsilon(vtf, stable_two_state):
                            horizon=300, epsilon=-5.0)
 
 
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_sustained_refuses_horizon_below_one(vtf, horizon):
+    # an empty horizon was refused as "attack start beyond plan horizon"
+    noise = r.NoiseSpec(kind="uniform_elementwise", lo=-.05, hi=.05, seed=2)
+    with pytest.raises(r.ConfigError, match=f"attack horizon must be >= 1, got {horizon}"):
+        r.sustained_attack(vtf, r.SensorSet.all(3), detector="II", horizon=horizon,
+                           noise=noise)
+
+
+def test_reset_times_follow_the_policy_schedule():
+    # the enforcement times the ramp resets at are read off AuthPolicy.mask;
+    # they are the schedule's steps in start..t_end-1, written out here as
+    # start + (phase - start) % period onward, when the policy's sensors meet
+    # the compromised set, and none otherwise
+    rng = np.random.default_rng(11)
+    disjoint = 0
+    for _ in range(400):
+        p = int(rng.integers(1, 5))
+        auth, K = (r.SensorSet.of(rng.choice(np.arange(1, p + 1), int(rng.integers(0, p + 1)),
+                                             replace=False), p) for _ in range(2))
+        period, phase = int(rng.integers(1, 12)), int(rng.integers(0, 30))  # phase >= period too
+        start, t_end = int(rng.integers(0, 40)), int(rng.integers(0, 90))
+        meet = bool(set(auth) & set(K))
+        disjoint += not meet
+        old = list(range(start + (phase - start) % period, t_end, period)) if meet else []
+        got = synth._reset_times(r.AuthPolicy(auth, period, phase), K, start, t_end)
+        assert got == old and all(type(t) is int for t in got)
+    assert disjoint >= 50
+    assert synth._reset_times(None, r.SensorSet.all(2), 0, 10) == []
+
+
 def test_cold_start_construction(stable_two_state):
     K = r.SensorSet.all(1)
     plan = r.sustained_attack(stable_two_state, K, detector="I", horizon=300,
                               epsilon=1000.0)
     assert plan.entries[0, 0] == 0.0  # a(-1)-analogue: zero before the start
-    tr = r.run_closed_loop(stable_two_state, 300, r.NoiseSpec.zero(), compromised=K,
+    tr = r.run_closed_loop(stable_two_state, 300, ZERO, compromised=K,
                            attack=plan.as_callable())
     assert int(np.sum(tr.alarm_id1)) == 0
     assert tr.max_error() >= 1000.0
@@ -173,7 +206,7 @@ def test_cold_start_growth_reaches_any_bound(stable_two_state):
     K = r.SensorSet.all(1)
     plan = r.sustained_attack(stable_two_state, K, detector="I", horizon=2500,
                               epsilon=10.0)
-    tr = r.run_closed_loop(stable_two_state, 2500, r.NoiseSpec.zero(), compromised=K,
+    tr = r.run_closed_loop(stable_two_state, 2500, ZERO, compromised=K,
                            attack=plan.as_callable())
     assert int(np.sum(tr.alarm_id1)) == 0
     for M in (10.0, 100.0, 1000.0):
@@ -203,7 +236,7 @@ def test_plan_csv_roundtrip(vtf):
     noise = r.NoiseSpec(kind="uniform_elementwise", lo=-.05, hi=.05, seed=1)
     plan = r.sustained_attack(vtf, K, detector="II", horizon=50, noise=noise)
     text = plan.to_csv()
-    back = r.AttackPlan.from_csv(text, K, "II")
+    back = r.AttackPlan.from_csv(text, K)
     assert back.offset == plan.offset
     assert np.allclose(back.entries, plan.entries, atol=1e-10)
 
@@ -213,7 +246,7 @@ def test_plan_rows_and_csv_at_any_offset(offset):
     # at() reads one step or an array of steps, zero outside the plan; the
     # CSV writes plan times as integers, so 10^13 does not come back as 1e+13
     K = r.SensorSet.all(3)
-    plan = r.AttackPlan(np.arange(12.0).reshape(4, 3) / 7, offset, K, "I")
+    plan = r.AttackPlan(np.arange(12.0).reshape(4, 3) / 7, offset, K)
     steps = offset + np.arange(-2, 6)
     rows = plan.at(steps)
     assert rows.shape == (8, 3)
@@ -230,7 +263,7 @@ def test_plan_rows_and_csv_at_any_offset(offset):
 def test_single_injection_zero_scalar_no_effect(stable_two_state):
     plan = single_injection_attack(stable_two_state, 0.0)
     assert not plan.entries.any()
-    tr = r.run_closed_loop(stable_two_state, 30, r.NoiseSpec.zero(),
+    tr = r.run_closed_loop(stable_two_state, 30, ZERO,
                            compromised=r.SensorSet.all(1),
                            attack=plan.as_callable())
     assert tr.max_error() <= 1e-9
@@ -410,7 +443,7 @@ def _ramp_cases():
         ("vtf_epsilon_cap", vtf, K, {**base, "epsilon": 0.1}),
         ("vtf_clean_sensor_3", vtf, r.SensorSet.of([3], 3), base),
         ("no_slack", r.SystemModel(A=vtf.A, B=None, C=vtf.C, delta_w=0.0, N=2), K,
-         {**base, "noise": r.NoiseSpec.zero()}),
+         {**base, "noise": ZERO}),
         # with N = 1 an injection reaches no window slot at all
         ("window_of_one", r.SystemModel(A=[[1.2]], B=None, C=[[1.0]], delta_w=0.1, N=1),
          r.SensorSet.all(1), {**base, "horizon": 50}),
@@ -437,6 +470,6 @@ def test_batched_ramp_matches_greedy_oracle():
     for label, model, K, kw in _ramp_cases():
         got = plan_outcome(r.sustained_attack, model, K, **kw)
         assert got == plan_outcome(sustained_attack_greedy, model, K, **kw), label
-        kinds.add(got[0] if got[0] == "refused" else (model.N, "resets=0" in got[-2]))
+        kinds.add(got[0] if got[0] == "refused" else (model.N, "resets=0" in got[-1]))
     # refusals, and free-running and sawtooth plans at N = 2, 3 and 4
     assert kinds == {"refused"} | {(N, free) for N in (2, 3, 4) for free in (True, False)}
