@@ -33,13 +33,15 @@ from .synth import NotPerfectlyAttackable
 
 
 def _load_scenario(args) -> ScenarioConfig:
-    if getattr(args, "builtin", None):
+    if args.builtin and args.config:
+        raise ConfigError("give either --config FILE or --builtin NAME, not both")
+    if args.builtin:
         table = builtin_scenarios()
         if args.builtin not in table:
             raise ConfigError(f"unknown builtin scenario {args.builtin!r}; "
                               f"choose from {sorted(table)}")
         return table[args.builtin]()
-    if getattr(args, "config", None):
+    if args.config:
         return load_config(args.config)
     raise ConfigError("provide --config FILE or --builtin NAME")
 

@@ -326,7 +326,7 @@ def unstable_eigenstructure(A: np.ndarray) -> list[tuple[complex, int, int]]:
     n = A.shape[0]
     vals = np.linalg.eig(A)[0]
     scale = max(1.0, float(np.max(np.abs(vals))) if n else 1.0)
-    tol = max(1e-8 * scale, RANK_TOL * scale * 10)
+    tol = MARGIN_BAND * RANK_TOL * scale
     groups: list[list[complex]] = []
     for lam in sorted(vals, key=lambda z: (-abs(z), np.angle(z))):
         for g in groups:
@@ -345,13 +345,11 @@ def unstable_eigenstructure(A: np.ndarray) -> list[tuple[complex, int, int]]:
 
 
 def unstable_null_intersection(model: SystemModel, compromised: SensorSet):
-    """Search for an unstable eigenvector inside the clean sensors' null space.
+    """Search for an unstable eigenvector that the clean sensors cannot see.
 
-    For each unstable eigenvalue tests rank([A - lambda I; O_clean]) < n; on
-    success returns (lambda, witness) where the witness is a unit null vector
-    of the stacked matrix, given as a real (n,) vector or an (n, 2) real pair
-    spanning the invariant plane when lambda is complex.  Returns None when no
-    unstable eigenvalue admits a witness.
+    Returns (lambda, witness), the head of unstable_chain's chain: a unit real
+    (n,) vector, or an (n, 2) real pair spanning the invariant plane when
+    lambda is complex.  None when no unstable eigenvector hides.
     """
     hit = unstable_chain(model, compromised)
     return None if hit is None else (hit[0], hit[1][0])
@@ -360,36 +358,35 @@ def unstable_null_intersection(model: SystemModel, compromised: SensorSet):
 def unstable_chain(model: SystemModel, compromised: SensorSet):
     """Longest generalized-eigenvector chain usable for over-time attack growth.
 
-    Returns (lambda, [v_1, ..., v_k]) where v_1 is an unstable eigenvector in
-    the clean sensors' null space (the witness of unstable_null_intersection),
-    (A - lambda I) v_{j+1} = v_j, and every chain vector stays in that null
-    space (so the whole propagated trajectory never touches clean sensors).
-    Chain length is bounded by the algebraic multiplicity of lambda's group.
-    A complex lambda gives [plane], the invariant 2-plane.  None when no
-    witness exists.
+    An eigenvector v with C_clean v = 0 has C_clean A^j v = 0 for every j, so
+    it lies in U, the unobservable subspace of (A, P_clean C), which is
+    A-invariant (Kalman, 1963).  So the search is one eigenproblem of
+    A_U = U^T A U, giving (lambda, [v_1, ..., v_k]) for its unstable group of
+    largest modulus: v_1 the unit witness, v_j = U c_j (no v_j reaches a clean
+    sensor), (A - lambda I) v_{j+1} = v_j and k <= alg - geo + 1.  A complex
+    lambda gives [plane], the invariant 2-plane.  None when no unstable
+    eigenvector hides.
     """
-    O_clean = build_O(model, compromised.complement())
-    n = model.n
-    for lam, alg, _geo in unstable_eigenstructure(model.A):
-        basis = null_basis(np.vstack([model.A - lam * np.eye(n), O_clean.astype(complex)]))
-        if basis.shape[1] == 0:
-            continue
-        v = basis[:, 0]
-        if abs(lam.imag) > _threshold([abs(lam)]):  # complex beyond rounding
-            q, _ = np.linalg.qr(np.stack([np.real(v), np.imag(v)], axis=1))
-            return lam, [q]
-        # rotate the complex phase away; the vector is real up to phase
-        w = np.real(v * np.exp(-1j * np.angle(v[int(np.argmax(np.abs(v)))])))
-        chain = [w / np.linalg.norm(w)]
-        lam = float(lam.real)
-        Alam, Z = model.A - lam * np.eye(n), null_basis(O_clean)  # Z: admissible subspace
-        tol = 1e-7 * max(1.0, float(np.linalg.norm(model.A, 2)))
-        while len(chain) < alg:
-            # next generalized vector constrained to the admissible subspace
-            coeff, *_ = np.linalg.lstsq(Alam @ Z, chain[-1], rcond=None)
-            cand = Z @ coeff
-            if np.linalg.norm(Alam @ cand - chain[-1]) > tol * max(1.0, np.linalg.norm(chain[-1])):
-                break
-            chain.append(cand)
-        return lam, chain
-    return None
+    U = null_basis(classical_obs_stack(model, compromised.complement()))
+    A_U, k = U.T @ model.A @ U, U.shape[1]
+    groups = unstable_eigenstructure(A_U)
+    if not groups:
+        return None
+    lam, alg, geo = groups[0]
+    c = np.linalg.svd(A_U - lam * np.eye(k))[2][-1].conj()  # least singular vector
+    if abs(lam.imag) > _threshold([abs(lam)]):  # complex beyond rounding
+        q, _ = np.linalg.qr(U @ np.stack([np.real(c), np.imag(c)], axis=1))
+        return lam, [q]
+    # rotate the complex phase away by the largest entry in state coordinates
+    v = U @ c
+    c = np.real(c * np.exp(-1j * np.angle(v[int(np.argmax(np.abs(v)))])))
+    coords = [c / np.linalg.norm(c)]
+    lam = float(lam.real)
+    Alam = A_U - lam * np.eye(k)
+    tol = 1e-7 * max(1.0, float(np.linalg.norm(model.A, 2)))
+    while len(coords) < alg - geo + 1:
+        cand, *_ = np.linalg.lstsq(Alam, coords[-1], rcond=None)
+        if np.linalg.norm(Alam @ cand - coords[-1]) > tol * max(1.0, np.linalg.norm(coords[-1])):
+            break
+        coords.append(cand)
+    return lam, [U @ c for c in coords]

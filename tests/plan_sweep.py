@@ -9,7 +9,10 @@ It prints one line per group and the total number of mismatches, and exits
 with status 1 when any call differs.  A plan matches when its entries, zeta,
 injection times and vectors, epsilon, offset and notes are identical; a
 refusal matches when it raises the same exception with the same message.
-pytest does not collect this file; it takes about a minute.
+Each group's line ends with a sha256 digest of the library's outcomes (each
+plan_outcome pickled, in call order), so two library versions that plan
+alike print the same digests.  pytest does not collect this file; it takes
+about a minute.
 
 The calls:
   * VTF, noise seeds 3, 11 and 21, detector II, horizon 6000: no
@@ -23,7 +26,9 @@ The calls:
     policy, epsilon None and 50 (320).
 """
 
+import hashlib
 import os
+import pickle
 import sys
 import time
 
@@ -88,16 +93,17 @@ def sweep_calls():
 
 def main():
     t0 = time.perf_counter()
-    counts = {}
+    counts, digests = {}, {}
     for group, model, K, kw in sweep_calls():
         new = plan_outcome(r.sustained_attack, model, K, **kw)
         old = plan_outcome(sustained_attack_greedy, model, K, **kw)
         calls, plans, refusals, bad = counts.get(group, (0, 0, 0, 0))
         counts[group] = (calls + 1, plans + (new[0] == "plan"),
                          refusals + (new[0] == "refused"), bad + (new != old))
+        digests.setdefault(group, hashlib.sha256()).update(pickle.dumps(new, protocol=4))
     for group, (calls, plans, refusals, bad) in counts.items():
         print(f"{group:16s} {calls:4d} calls  {plans:4d} plans  {refusals:4d} refusals  "
-              f"{bad} mismatches")
+              f"{bad} mismatches  sha256 {digests[group].hexdigest()[:16]}")
     total = sum(c[0] for c in counts.values())
     mismatches = sum(c[3] for c in counts.values())
     print(f"total: {total} calls, {mismatches} mismatches, "

@@ -192,6 +192,35 @@ def test_analyze_exact_rank_deficiency_is_not_borderline(tmp_path, capsys):
     assert single["attackable"] and single["margin"] > MARGIN_BAND * RANK_TOL
 
 
+@pytest.mark.parametrize("angle", [0.0, 0.6])
+def test_analyze_rotated_double_integrator_is_attackable(tmp_path, capsys, angle):
+    # x = [position, velocity] with dt = 1, one position and two velocity
+    # sensors, the position sensor compromised: the unstable mode e1 hides
+    # from the velocity sensors in any state coordinates.  Rotated by 0.6 rad,
+    # the eigenvector of the defective eigenvalue 1 is computed off by ~1e-8
+    # and the verdict read "no unstable eigenvector in clean null space" (exit 0)
+    c, s = np.cos(angle), np.sin(angle)
+    Q = np.array([[c, -s], [s, c]])
+    A = Q @ np.array([[1.0, 1.0], [0.0, 1.0]]) @ Q.T
+    C = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]) @ Q.T
+    doc = {"system": {"A": A.tolist(), "C": C.tolist(), "N": 2, "delta_w": 0.1},
+           "noise": {"kind": "zero"}, "compromised": [1], "horizon": {"steps": 10}}
+    cfg = tmp_path / "double_integrator.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(["analyze", "--config", str(cfg)]) == 2
+    id2 = json.loads(capsys.readouterr().out)["pa_over_time_id2"]
+    assert id2["attackable"] and id2["notes"] == "all three conditions hold"
+    lam, v = id2["witness"]
+    assert lam == pytest.approx(1.0) and np.allclose(v, Q[:, 0], atol=1e-9)
+
+
+def test_config_and_builtin_together_exit_1(capsys):
+    # one scenario per call: --builtin used to win silently over --config
+    assert run_cli(["analyze", "--config", str(CONFIGS / "vtf_auth10.json"),
+                    "--builtin", "vtf"]) == 1
+    assert "not both" in capsys.readouterr().err
+
+
 def test_reproduce_fig2b_growth(tmp_path):
     assert run_cli(["reproduce", "fig2b", "--outdir", str(tmp_path)]) == 0
     rows = np.loadtxt(tmp_path / "fig2b.csv", delimiter=",", skiprows=1)

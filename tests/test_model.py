@@ -9,7 +9,7 @@ from rse_lab.sim import _slot_kernels, _windows
 
 from conftest import random_observable_model
 from oracles import (stacked_noise_gram_loops, unstable_chain_search,
-                     unstable_eigenstructure_groups, unstable_null_intersection_search)
+                     unstable_eigenstructure_groups)
 
 
 def test_sensor_set_basics():
@@ -216,33 +216,63 @@ def _witness_models(rng):
 
 
 def test_witness_search_matches_the_two_pass_oracle():
-    # model.unstable_chain is the one search for the unstable witness; the
-    # oracle is the search as it was, with unstable_null_intersection run
-    # first and a second eigen-decomposition and clean stack for the chain
+    # model.unstable_chain searches A restricted to the clean sensors'
+    # unobservable subspace; the oracle is the search as it was, testing each
+    # eigenvalue group of A against O_clean.  With every sensor compromised
+    # the two do the same arithmetic; elsewhere they agree to rounding, so the
+    # comparison is to stated tolerances.  A pair is borderline when a rank
+    # decision behind either search, on O_clean or on the clean classical
+    # stack, lies inside the MARGIN_BAND band; its verdict may differ.
     rng = np.random.default_rng(27)
     models = itertools.islice(_witness_models(rng), 200)
-    compared = chains = 0
+    compared = chains = borderline = 0
     for m in models:
-        assert r.unstable_eigenstructure(m.A) == unstable_eigenstructure_groups(m.A)
+        groups = unstable_eigenstructure_groups(m.A)
+        assert r.unstable_eigenstructure(m.A) == groups
+        scale_A = max(1.0, float(np.linalg.norm(m.A, 2)))
         for size in range(m.p + 1):
             for K in itertools.combinations(range(1, m.p + 1), size):
                 K = r.SensorSet(K, m.p)
-                for got, want in ((r.unstable_chain(m, K), unstable_chain_search(m, K)),
-                                  (r.unstable_null_intersection(m, K),
-                                   unstable_null_intersection_search(m, K))):
-                    if want is None:
-                        assert got is None
-                        continue
-                    (lam, vecs), (lam_w, vecs_w) = got, want
-                    assert type(lam) is type(lam_w) and lam == lam_w
-                    if isinstance(vecs, list):
-                        chains += len(vecs) >= 2
-                        assert len(vecs) == len(vecs_w)
-                    else:
-                        vecs, vecs_w = [vecs], [vecs_w]
-                    assert all(np.array_equal(v, w) for v, w in zip(vecs, vecs_w))
                 compared += 1
-    assert compared >= 1500 and chains >= 20, (compared, chains)
+                got, want = r.unstable_chain(m, K), unstable_chain_search(m, K)
+                head = r.unstable_null_intersection(m, K)  # the chain's head
+                if got is None:
+                    assert head is None
+                else:
+                    assert head[0] == got[0] and np.array_equal(head[1], got[1][0])
+                O_clean = r.build_O(m, K.complement())
+                margin = min(rank_margin(O_clean)[1],
+                             rank_margin(r.classical_obs_stack(m, K.complement()))[1])
+                if margin < MARGIN_BAND * RANK_TOL:
+                    borderline += 1
+                    continue
+                assert (got is None) == (want is None), (K, got, want)
+                if got is None:
+                    continue
+                (lam, vecs), (lam_w, vecs_w) = got, want
+                assert type(lam) is type(lam_w)
+                assert abs(lam - lam_w) <= 1e-12 * max(1.0, abs(lam))
+                assert len(vecs) == len(vecs_w)
+                chains += len(vecs) >= 2
+                scale = max(1.0, float(np.linalg.norm(O_clean, 2))) if O_clean.size else 1.0
+                for v in vecs:
+                    assert np.linalg.norm(O_clean @ v) <= 1e-9 * scale
+                v, w = vecs[0], vecs_w[0]
+                if v.ndim == 2:  # complex lambda: the same invariant plane
+                    assert np.linalg.norm(m.A @ v - v @ (v.T @ m.A @ v)) <= 1e-9 * scale_A
+                    assert np.linalg.norm(v @ v.T - w @ w.T) <= 1e-9
+                    continue
+                Alam = m.A - lam * np.eye(m.n)
+                assert np.linalg.norm(Alam @ v) <= 1e-9 * scale_A
+                for prev, nxt in zip(vecs, vecs[1:]):
+                    assert np.linalg.norm(Alam @ nxt - prev) <= 1e-9 * scale_A * max(
+                        1.0, np.linalg.norm(nxt))
+                if min(groups, key=lambda g: abs(g[0] - lam_w))[2] == 1:
+                    # a defective eigenvector is computed to about eps^(1/k)
+                    # for a block of size k <= 3
+                    assert min(np.linalg.norm(v - w), np.linalg.norm(v + w)) <= 1e-5
+    assert compared >= 1500 and chains >= 20 and borderline <= 3, (
+        compared, chains, borderline)
 
 
 def test_full_O_always_rank_n():
