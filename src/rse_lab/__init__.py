@@ -15,7 +15,6 @@ from .model import (
     suggest_delta_w,
     unstable_chain,
     unstable_eigenstructure,
-    unstable_null_intersection,
 )
 from .decoder import (
     DecodeResult,

@@ -5,7 +5,7 @@ that is re-verified before being returned."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -22,8 +22,8 @@ from .model import (
     classical_obs_stack,
     null_basis,
     rank_margin,
+    unstable_chain,
     unstable_eigenstructure,
-    unstable_null_intersection,
 )
 
 __all__ = [
@@ -40,22 +40,69 @@ BRANCH_RANK_DEFICIENT_OVERLAP = "rank_deficient_overlap"
 BRANCH_FULL_RANK_OVERLAP = "full_rank_overlap"
 
 
+class _Record:
+    """One compromised set S as the verdicts and synthesis read it: the clean
+    window stack's margin and unit null vector z (None at full rank); F(S, N)'s
+    rank, margin and raw null vector null_F (None unless F and the clean stack
+    both lose rank); unstable_chain's result and head; A's unstable modes,
+    found once per model.  The arrays are shared, hence read-only."""
+
+    def __init__(self, model: SystemModel, compromised: SensorSet):
+        O_clean = build_O(model, compromised.complement())
+        rank, self.margin = rank_margin(O_clean)
+        self.z = None
+        if rank < model.n:
+            z = np.real(null_basis(O_clean)[:, 0])
+            z = z / np.linalg.norm(z)
+            scale = max(1.0, float(np.linalg.norm(O_clean, 2))) if O_clean.size else 1.0
+            if np.linalg.norm(O_clean @ z) > 10 * RANK_TOL * scale:
+                raise ConfigError(f"single-step witness fails re-verification at RANK_TOL="
+                                  f"{RANK_TOL:g}; the rank verdict is numerically unreliable")
+            self.z = z
+        F = build_overlap_stack(model, compromised)
+        self.rank_F, self.margin_F = rank_margin(F)
+        both_deficient = self.rank_F < model.n and self.z is not None
+        self.null_F = np.real(null_basis(F)[:, 0]) if both_deficient else None
+        self.chain = chain = unstable_chain(model, compromised)
+        self.head = None if chain is None else (chain[0], chain[1][0])
+        if "unstable" not in model._cache:
+            model._cache["unstable"] = unstable_eigenstructure(model.A)
+        self.unstable = model._cache["unstable"]
+        for v in (self.z, self.null_F, *(chain[1] if chain else ())):
+            if v is not None:
+                v.flags.writeable = False
+
+
+def _record(model: SystemModel, compromised: SensorSet) -> _Record:
+    """The record of (model, compromised), kept in model._cache under the set."""
+    model.check_sensor_sets(compromised=compromised)
+    if compromised not in model._cache:
+        model._cache[compromised] = _Record(model, compromised)
+    return model._cache[compromised]
+
+
 def pa_single_step(model: SystemModel, compromised: SensorSet):
     """Single-window attackability: true iff the clean sensors' observation
     stack loses column rank; the witness is a unit null vector z, and the
     stacked attack O (c z) keeps the decoded support empty for any c."""
-    model.check_sensor_sets(compromised=compromised)
-    O_clean = build_O(model, compromised.complement())
-    rank, _ = rank_margin(O_clean)
-    if rank >= model.n:
-        return False, None
-    z = np.real(null_basis(O_clean)[:, 0])
-    z = z / np.linalg.norm(z)
-    scale = max(1.0, float(np.linalg.norm(O_clean, 2))) if O_clean.size else 1.0
-    if np.linalg.norm(O_clean @ z) > 10 * RANK_TOL * scale:
-        raise ConfigError(f"single-step witness fails re-verification at RANK_TOL="
-                          f"{RANK_TOL:g}; the rank verdict is numerically unreliable")
-    return True, z
+    z = _record(model, compromised).z
+    return z is not None, z
+
+
+def _clean(v):
+    """v as strict JSON: dicts entry by entry, arrays and tuples as lists, a
+    complex number as [re, im] and a non-finite float as None."""
+    if isinstance(v, dict):
+        return {k: _clean(x) for k, x in v.items()}
+    if isinstance(v, tuple):
+        return [_clean(x) for x in v]
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    if isinstance(v, float) and not np.isfinite(v):
+        return None
+    return v
 
 
 @dataclass(frozen=True)
@@ -72,23 +119,7 @@ class PaVerdict:
         return self.attackable
 
     def to_report(self) -> dict:
-        def _clean(v):
-            if isinstance(v, np.ndarray):
-                return v.tolist()
-            if isinstance(v, complex):
-                return [v.real, v.imag]
-            if isinstance(v, tuple):
-                return [_clean(x) for x in v]
-            if isinstance(v, float) and not np.isfinite(v):
-                return None  # strict-JSON friendly
-            return v
-        return {
-            "attackable": self.attackable,
-            "branch": self.branch,
-            "witness": _clean(self.witness),
-            "notes": self.notes,
-            "margins": {k: _clean(v) for k, v in self.margins.items()},
-        }
+        return _clean(asdict(self))
 
 
 def pa_over_time_id1(model: SystemModel, compromised: SensorSet) -> PaVerdict:
@@ -98,21 +129,14 @@ def pa_over_time_id1(model: SystemModel, compromised: SensorSet) -> PaVerdict:
     propagates through the null space of F).  Full-rank F: additionally needs
     an unstable eigenvector inside the clean sensors' null space.
     """
-    single, _ = pa_single_step(model, compromised)
-    F = build_overlap_stack(model, compromised)
-    rank_F, margin_F = rank_margin(F)
-    margins = {"rank_overlap": rank_F, "margin_overlap": margin_F}
-    if rank_F < model.n:
-        w = None
-        if single:
-            basis = null_basis(F)
-            w = np.real(basis[:, 0])
-            w /= np.linalg.norm(w)
+    rec = _record(model, compromised)
+    single = rec.z is not None
+    margins = {"rank_overlap": rec.rank_F, "margin_overlap": rec.margin_F}
+    if rec.rank_F < model.n:
+        w = None if rec.null_F is None else rec.null_F / np.linalg.norm(rec.null_F)
         return PaVerdict(single, BRANCH_RANK_DEFICIENT_OVERLAP, w,
                          "F rank deficient: over-time iff single-step", margins)
-    hit = unstable_null_intersection(model, compromised)
-    ok = single and hit is not None
-    return PaVerdict(ok, BRANCH_FULL_RANK_OVERLAP, hit,
+    return PaVerdict(single and rec.head is not None, BRANCH_FULL_RANK_OVERLAP, rec.head,
                      "F full rank: needs unstable eigenvector in clean null space",
                      margins)
 
@@ -121,9 +145,8 @@ def pa_over_time_id2(model: SystemModel, compromised: SensorSet) -> PaVerdict:
     """Over-time attackability against the innovation-checking detector:
     single-window attackability, an unstable mode, and an unstable
     eigenvector hidden from the clean sensors, all three at once."""
-    single, _ = pa_single_step(model, compromised)
-    unstable = unstable_eigenstructure(model.A)
-    hit = unstable_null_intersection(model, compromised)
+    rec = _record(model, compromised)
+    single, unstable, hit = rec.z is not None, rec.unstable, rec.head
     ok = single and bool(unstable) and hit is not None
     notes = []
     if not single:
@@ -146,7 +169,7 @@ class PolicyVerdict:
         return self.prevented
 
     def to_report(self) -> dict:
-        return {"prevented": self.prevented, "reason": self.reason, "checks": dict(self.checks)}
+        return _clean(asdict(self))
 
 
 def policy_prevents_pa(model: SystemModel, compromised: SensorSet, policy,
@@ -179,21 +202,17 @@ def policy_prevents_pa(model: SystemModel, compromised: SensorSet, policy,
     if period is None:
         return PolicyVerdict(False, "policy is not periodic with a common bounded "
                                     "period on the authenticated subset", checks)
-    obs_F = classical_obs_stack(model, auth_subset)
-    rank_obs, margin_obs = rank_margin(obs_F)
-    checks["obs_F_rank"] = rank_obs
-    checks["obs_F_margin"] = margin_obs
-    if rank_obs < model.n:
+    checks["obs_F_rank"], checks["obs_F_margin"] = rank_margin(
+        classical_obs_stack(model, auth_subset))
+    if checks["obs_F_rank"] < model.n:
         return PolicyVerdict(False, "(A, P_F C) unobservable", checks)
 
     # [P_F C; P_F C A^T; ...]: the window stack of (A^T, P_F C), taken power-major
     key = _stack_rows(np.linalg.matrix_power(model.A, period),
                       model.C[list(auth_subset.indices0)], model.N)
     key = key.reshape(len(auth_subset), model.N, model.n).swapaxes(0, 1).reshape(-1, model.n)
-    rank_key, margin_key = rank_margin(key)
-    checks["key_rank"] = rank_key
-    checks["key_margin"] = margin_key
-    key_ok = rank_key >= model.n
+    checks["key_rank"], checks["key_margin"] = rank_margin(key)
+    key_ok = checks["key_rank"] >= model.n
     if not key_ok:
         checks["key_matrix_warning"] = (
             "observable (A, P_F C) but the period-decimated stack loses rank")
@@ -204,11 +223,9 @@ def policy_prevents_pa(model: SystemModel, compromised: SensorSet, policy,
                                        "and full-rank decimated stack", checks)
         return PolicyVerdict(False, "decimated stack rank deficient for this period", checks)
 
-    F_all = build_overlap_stack(model, SensorSet.all(model.p))
-    rank_FS, margin_FS = rank_margin(F_all)
-    checks["rank_overlap_all"] = rank_FS
-    checks["margin_overlap_all"] = margin_FS
-    if rank_FS >= model.n:
+    everyone = _record(model, SensorSet.all(model.p))
+    checks["rank_overlap_all"], checks["margin_overlap_all"] = everyone.rank_F, everyone.margin_F
+    if everyone.rank_F >= model.n:
         if key_ok:
             return PolicyVerdict(True, "F(S,N) full rank: any bounded period works", checks)
         return PolicyVerdict(False, "decimated stack rank deficient for this period", checks)
@@ -222,19 +239,14 @@ def policy_prevents_pa(model: SystemModel, compromised: SensorSet, policy,
 def analyze(model: SystemModel, compromised: SensorSet) -> dict:
     """Bundle of the three attackability verdicts, serializable for the CLI."""
     single, z = pa_single_step(model, compromised)
-    v1 = pa_over_time_id1(model, compromised)
-    v2 = pa_over_time_id2(model, compromised)
-    O_clean = build_O(model, compromised.complement())
-    _, margin_single = rank_margin(O_clean)
     return {
         "compromised": list(compromised.indices),
-        "pa_single_step": {"attackable": single,
-                           "witness": None if z is None else z.tolist(),
-                           "margin": margin_single if np.isfinite(margin_single) else None},
-        "pa_over_time_id1": v1.to_report(),
-        "pa_over_time_id2": v2.to_report(),
+        "pa_single_step": {"attackable": single, "witness": _clean(z),
+                           "margin": _clean(_record(model, compromised).margin)},
+        "pa_over_time_id1": pa_over_time_id1(model, compromised).to_report(),
+        "pa_over_time_id2": pa_over_time_id2(model, compromised).to_report(),
     }
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)

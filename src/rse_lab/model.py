@@ -34,7 +34,6 @@ __all__ = [
     "rank_margin",
     "null_basis",
     "unstable_eigenstructure",
-    "unstable_null_intersection",
     "unstable_chain",
     "suggest_delta_w",
 ]
@@ -342,17 +341,6 @@ def unstable_eigenstructure(A: np.ndarray) -> list[tuple[complex, int, int]]:
             geo = n - rank_with_tol(A - lam * np.eye(n))
             out.append((lam, len(g), max(1, geo)))
     return sorted(out, key=lambda t: (-abs(t[0]), np.angle(t[0])))
-
-
-def unstable_null_intersection(model: SystemModel, compromised: SensorSet):
-    """Search for an unstable eigenvector that the clean sensors cannot see.
-
-    Returns (lambda, witness), the head of unstable_chain's chain: a unit real
-    (n,) vector, or an (n, 2) real pair spanning the invariant plane when
-    lambda is complex.  None when no unstable eigenvector hides.
-    """
-    hit = unstable_chain(model, compromised)
-    return None if hit is None else (hit[0], hit[1][0])
 
 
 def unstable_chain(model: SystemModel, compromised: SensorSet):

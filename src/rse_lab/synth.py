@@ -33,10 +33,9 @@ from typing import Optional
 
 import numpy as np
 
-from .attackability import BRANCH_RANK_DEFICIENT_OVERLAP, pa_over_time_id1, pa_over_time_id2
+from .attackability import _record, pa_over_time_id1, pa_over_time_id2
 from .detectors import detector_name
-from .model import (ConfigError, SensorSet, SystemModel, as_int, build_O, build_overlap_stack,
-                    matvec_rows, null_basis, unstable_chain, unstable_eigenstructure)
+from .model import ConfigError, SensorSet, SystemModel, as_int, build_O, matvec_rows
 from .sim import AuthPolicy, NoiseSpec, _csv_text, effective_window_noise
 
 __all__ = ["NotPerfectlyAttackable", "AttackPlan", "sustained_attack"]
@@ -123,7 +122,7 @@ class _ChainBasis:
     """
 
     def __init__(self, model: SystemModel, compromised: SensorSet):
-        hit = unstable_chain(model, compromised)
+        hit = _record(model, compromised).chain
         if hit is None:
             raise NotPerfectlyAttackable(
                 "no unstable eigenvector inside the clean sensors' null space")
@@ -282,10 +281,10 @@ def sustained_attack(model: SystemModel, compromised: SensorSet, *, detector: st
     if not verdict:
         raise NotPerfectlyAttackable(verdict.notes)
     # ID_I's verdict on a rank-deficient F: the attack propagates through null(F)
-    if (verdict.branch == BRANCH_RANK_DEFICIENT_OVERLAP
-            and not _reset_times(policy, compromised, 0, T_meas)):
+    null_F = _record(model, compromised).null_F
+    if det == "I" and null_F is not None and not _reset_times(policy, compromised, 0, T_meas):
         eta = 100.0 if epsilon is None else float(epsilon)
-        return _cold_start_plan(model, compromised, horizon, eta, t0)
+        return _cold_start_plan(model, compromised, horizon, eta, t0, null_F)
     if noise is None:
         raise ConfigError("ramped synthesis needs the scenario noise stream")
     return _ramped_plan(model, compromised, horizon, noise, policy, t0, period, epsilon)
@@ -338,13 +337,13 @@ def _roll_forward(model: SystemModel, compromised: SensorSet, inj: np.ndarray,
 
 
 def _cold_start_plan(model: SystemModel, compromised: SensorSet, horizon: int,
-                     eta: float, t0: int) -> AttackPlan:
+                     eta: float, t0: int, z: np.ndarray) -> AttackPlan:
+    """The cold start along z, a null vector of F(S, N) of any norm."""
     T_meas = horizon + model.N - 1
     # a stable A shrinks the propagated state; a growing null-space drive
     # keeps the error above any bound eventually
-    stable = not unstable_eigenstructure(model.A)
+    stable = not _record(model, compromised).unstable
     gain = 0.05 * max(1.0, eta) if stable else 0.0
-    z = np.real(null_basis(build_overlap_stack(model, compromised))[:, 0])
     anchor = t0 - (model.N - 1)
     inj = np.zeros((T_meas, model.n))
     inj[anchor] = z / np.linalg.norm(z) * eta

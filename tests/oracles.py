@@ -428,3 +428,187 @@ def unstable_chain_search(model, compromised):
             break
         chain.append(cand)
     return float(lam), chain
+
+
+# -- the verdicts, each searching its own witnesses ----------------------------------
+#
+# attackability.py's five verdict functions as they were before the per-set
+# record: each one rebuilds the clean window stack, F(S, N) and the unstable
+# chain it needs, and analyze runs pa_single_step three times.  The chain's
+# head stands in for the deleted unstable_null_intersection.  The reports are
+# left to the caller: the verdicts are returned as PaVerdict and PolicyVerdict.
+
+def _head_uncached(model, compromised):
+    from rse_lab.model import unstable_chain
+    hit = unstable_chain(model, compromised)
+    return None if hit is None else (hit[0], hit[1][0])
+
+
+def pa_single_step_uncached(model, compromised):
+    from rse_lab.model import RANK_TOL, ConfigError, build_O, null_basis, rank_margin
+    model.check_sensor_sets(compromised=compromised)
+    O_clean = build_O(model, compromised.complement())
+    rank, _ = rank_margin(O_clean)
+    if rank >= model.n:
+        return False, None
+    z = np.real(null_basis(O_clean)[:, 0])
+    z = z / np.linalg.norm(z)
+    scale = max(1.0, float(np.linalg.norm(O_clean, 2))) if O_clean.size else 1.0
+    if np.linalg.norm(O_clean @ z) > 10 * RANK_TOL * scale:
+        raise ConfigError(f"single-step witness fails re-verification at RANK_TOL="
+                          f"{RANK_TOL:g}; the rank verdict is numerically unreliable")
+    return True, z
+
+
+def pa_over_time_id1_uncached(model, compromised):
+    from rse_lab.attackability import (BRANCH_FULL_RANK_OVERLAP,
+                                       BRANCH_RANK_DEFICIENT_OVERLAP, PaVerdict)
+    from rse_lab.model import build_overlap_stack, null_basis, rank_margin
+    single, _ = pa_single_step_uncached(model, compromised)
+    F = build_overlap_stack(model, compromised)
+    rank_F, margin_F = rank_margin(F)
+    margins = {"rank_overlap": rank_F, "margin_overlap": margin_F}
+    if rank_F < model.n:
+        w = None
+        if single:
+            basis = null_basis(F)
+            w = np.real(basis[:, 0])
+            w /= np.linalg.norm(w)
+        return PaVerdict(single, BRANCH_RANK_DEFICIENT_OVERLAP, w,
+                         "F rank deficient: over-time iff single-step", margins)
+    hit = _head_uncached(model, compromised)
+    ok = single and hit is not None
+    return PaVerdict(ok, BRANCH_FULL_RANK_OVERLAP, hit,
+                     "F full rank: needs unstable eigenvector in clean null space",
+                     margins)
+
+
+def pa_over_time_id2_uncached(model, compromised):
+    from rse_lab.attackability import PaVerdict
+    from rse_lab.model import unstable_eigenstructure
+    single, _ = pa_single_step_uncached(model, compromised)
+    unstable = unstable_eigenstructure(model.A)
+    hit = _head_uncached(model, compromised)
+    ok = single and bool(unstable) and hit is not None
+    notes = []
+    if not single:
+        notes.append("clean sensors keep observability")
+    if not unstable:
+        notes.append("A is stable")
+    if unstable and hit is None:
+        notes.append("no unstable eigenvector in clean null space")
+    return PaVerdict(ok, "id2", hit, "; ".join(notes) or "all three conditions hold",
+                     {"unstable_count": len(unstable)})
+
+
+def policy_prevents_pa_uncached(model, compromised, policy, auth_subset, detector="II"):
+    from rse_lab.attackability import PolicyVerdict
+    from rse_lab.detectors import detector_name
+    from rse_lab.model import (SensorSet, _stack_rows, build_overlap_stack,
+                               classical_obs_stack, rank_margin)
+    det = detector_name(detector)
+    model.check_sensor_sets(compromised=compromised, auth_subset=auth_subset,
+                            policy=None if policy is None else policy.sensors)
+    over_time = pa_over_time_id2_uncached if det == "II" else pa_over_time_id1_uncached
+    if not (verdict := over_time(model, compromised)):
+        name = "pa_over_time_id2" if det == "II" else "pa_over_time_id1"
+        return PolicyVerdict(True, "not perfectly attackable without authentication",
+                             {name: verdict})
+    checks = {}
+    if len(auth_subset) == 0:
+        return PolicyVerdict(False, "empty authentication subset", checks)
+    covered = policy is not None and set(auth_subset) <= set(policy.sensors)
+    checks["period"] = period = policy.period if covered else None
+    if period is None:
+        return PolicyVerdict(False, "policy is not periodic with a common bounded "
+                                    "period on the authenticated subset", checks)
+    obs_F = classical_obs_stack(model, auth_subset)
+    rank_obs, margin_obs = rank_margin(obs_F)
+    checks["obs_F_rank"] = rank_obs
+    checks["obs_F_margin"] = margin_obs
+    if rank_obs < model.n:
+        return PolicyVerdict(False, "(A, P_F C) unobservable", checks)
+    key = _stack_rows(np.linalg.matrix_power(model.A, period),
+                      model.C[list(auth_subset.indices0)], model.N)
+    key = key.reshape(len(auth_subset), model.N, model.n).swapaxes(0, 1).reshape(-1, model.n)
+    rank_key, margin_key = rank_margin(key)
+    checks["key_rank"] = rank_key
+    checks["key_margin"] = margin_key
+    key_ok = rank_key >= model.n
+    if not key_ok:
+        checks["key_matrix_warning"] = (
+            "observable (A, P_F C) but the period-decimated stack loses rank")
+    if det == "II":
+        if key_ok:
+            return PolicyVerdict(True, "bounded period with observable subset "
+                                       "and full-rank decimated stack", checks)
+        return PolicyVerdict(False, "decimated stack rank deficient for this period", checks)
+    F_all = build_overlap_stack(model, SensorSet.all(model.p))
+    rank_FS, margin_FS = rank_margin(F_all)
+    checks["rank_overlap_all"] = rank_FS
+    checks["margin_overlap_all"] = margin_FS
+    if rank_FS >= model.n:
+        if key_ok:
+            return PolicyVerdict(True, "F(S,N) full rank: any bounded period works", checks)
+        return PolicyVerdict(False, "decimated stack rank deficient for this period", checks)
+    if period == 1 and key_ok:
+        return PolicyVerdict(True, "F(S,N) rank deficient: period-1 authentication "
+                                   "re-establishes the single-window block each step", checks)
+    return PolicyVerdict(False, "F(S,N) rank deficient: single-injection attacks "
+                                "slip between authentications unless the period is 1", checks)
+
+
+def analyze_uncached(model, compromised):
+    from rse_lab.model import build_O, rank_margin
+    single, z = pa_single_step_uncached(model, compromised)
+    v1 = pa_over_time_id1_uncached(model, compromised)
+    v2 = pa_over_time_id2_uncached(model, compromised)
+    O_clean = build_O(model, compromised.complement())
+    _, margin_single = rank_margin(O_clean)
+    return {
+        "compromised": list(compromised.indices),
+        "pa_single_step": {"attackable": single, "witness": None if z is None else z.tolist(),
+                           "margin": margin_single},
+        "pa_over_time_id1": v1,
+        "pa_over_time_id2": v2,
+    }
+
+
+def strict_report(v):
+    """v as strict JSON values: verdicts as the dicts of their fields, arrays
+    and tuples as lists, a complex number as [re, im], a non-finite float as
+    None."""
+    import dataclasses
+    if dataclasses.is_dataclass(v):
+        v = {f.name: getattr(v, f.name) for f in dataclasses.fields(v)}
+    if isinstance(v, dict):
+        return {k: strict_report(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [strict_report(x) for x in v]
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    if isinstance(v, float) and not np.isfinite(v):
+        return None
+    return v
+
+
+def sustained_attack_uncached(model, compromised, **kwargs):
+    """synth.sustained_attack on the verdicts above, with the chain, F(S, N)'s
+    raw null vector and A's stability searched where synthesis searched them."""
+    from types import SimpleNamespace
+    from unittest import mock
+
+    from rse_lab import synth
+    from rse_lab.model import build_overlap_stack, unstable_chain, unstable_eigenstructure
+
+    def searched(model, compromised):
+        basis = _null_basis_svd(build_overlap_stack(model, compromised))
+        return SimpleNamespace(chain=unstable_chain(model, compromised),
+                               null_F=np.real(basis[:, 0]) if basis.shape[1] else None,
+                               unstable=unstable_eigenstructure(model.A))
+    with mock.patch.multiple(synth, _record=searched,
+                             pa_over_time_id1=pa_over_time_id1_uncached,
+                             pa_over_time_id2=pa_over_time_id2_uncached):
+        return synth.sustained_attack(model, compromised, **kwargs)

@@ -1,10 +1,16 @@
+import itertools
+import json
+
 import numpy as np
 import pytest
 
 import rse_lab as r
+from rse_lab.attackability import report_to_json
 from rse_lab.model import RANK_TOL, STABILITY_MARGIN
 
 from conftest import random_observable_model
+from oracles import (analyze_uncached, plan_outcome, policy_prevents_pa_uncached,
+                     strict_report, sustained_attack_uncached)
 
 
 def K_all(p):
@@ -221,3 +227,104 @@ def test_policy_verdict_reads_the_compromised_set():
         assert not v.prevented and v.reason == "decimated stack rank deficient for this period"
         assert r.policy_prevents_pa(m, r.SensorSet.all(3), r.AuthPolicy.periodic([1], 3, 3),
                                     F, det).prevented
+
+
+def _equivalence_models(rng):
+    """VTF; cold starts through a rank-deficient F(S, N) on the stable
+    two-state plant and on 4 random_observable_model draws with N = 1; 16
+    more draws, 12 of them unstable; and Jordan blocks at 1, -1 and 1.1 of
+    size 2 and 3 turned by a random orthogonal matrix, their third sensor
+    blind to the eigenvector."""
+    yield r.vtf_model()
+    yield r.SystemModel(A=[[0.3, 1.0], [0.0, 0.5]], B=None, C=[[1.0, 0.0]], delta_w=0.0, N=2)
+    for i in range(20):
+        yield random_observable_model(rng, N=1, p=3) if i < 4 else random_observable_model(
+            rng, unstable=True if i < 16 else None)
+    for lam, k in itertools.product((1.0, -1.0, 1.1), (2, 3)):
+        Q = np.linalg.qr(rng.normal(size=(k, k)))[0]
+        C = rng.normal(size=(3, k))
+        C[2, 0] = 0.0
+        A, C = Q @ (lam * np.eye(k) + np.eye(k, k=1)) @ Q.T, C @ Q.T
+        yield r.SystemModel(A=A, B=None, C=C, N=k, delta_w=r.suggest_delta_w(
+            A, C, k, 0.02 * np.sqrt(k), 0.02 * np.sqrt(3)))
+
+
+def _report(verdict, *args):
+    """The report's JSON text (the library's own report, the oracle's verdict
+    through strict_report), or the ConfigError's message."""
+    try:
+        out = verdict(*args)
+    except r.ConfigError as exc:
+        return str(exc)
+    if verdict is r.analyze or verdict is r.policy_prevents_pa:
+        return report_to_json(out if verdict is r.analyze else out.to_report())
+    return json.dumps(strict_report(out), indent=2, sort_keys=True)
+
+
+def test_verdicts_and_plans_match_the_uncached_oracle():
+    # the verdicts and synthesis read one record per compromised set, kept on
+    # the model; the oracle searches every witness where it was searched
+    # before.  One model serves all its sets, so a record read for the wrong
+    # set, or stale, would show; non-finite margins read null on both sides
+    rng = np.random.default_rng(38)
+    noise = r.NoiseSpec(kind="uniform_elementwise", lo=-0.02, hi=0.02, seed=5)
+    reports = plans = cold = 0
+    for m in _equivalence_models(rng):
+        ramp = r.AuthPolicy.periodic([1], 3, m.p)
+        for size in range(m.p + 1):
+            for K in itertools.combinations(range(1, m.p + 1), size):
+                K = r.SensorSet(K, m.p)
+                assert _report(r.analyze, m, K) == _report(analyze_uncached, m, K), K
+                for F, period, det in itertools.product(
+                        ([1], range(1, m.p + 1)), (1, 3), ("I", "II")):
+                    pol = r.AuthPolicy.periodic(F, period, m.p)
+                    args = (m, K, pol, pol.sensors, det)
+                    assert (_report(r.policy_prevents_pa, *args)
+                            == _report(policy_prevents_pa_uncached, *args)), (K, args[2:])
+                reports += 9
+                for det, pol in itertools.product(("I", "II"), (None, ramp)):
+                    kw = dict(detector=det, horizon=60, noise=noise, policy=pol)
+                    got = plan_outcome(r.sustained_attack, m, K, **kw)
+                    assert got == plan_outcome(sustained_attack_uncached, m, K, **kw), (K, kw)
+                    plans += got[0] == "plan"
+                    cold += got[0] == "plan" and got[-1].startswith("cold start")
+    assert reports >= 1400 and plans >= 90 and cold >= 4, (reports, plans, cold)
+
+
+def test_one_item_searches_each_witness_once(monkeypatch):
+    # a plan under a period-10 policy, analyze and the policy verdict on one
+    # compromised set read one record of it: the unstable chain is searched
+    # once and the clean window stack built once (they were searched 5 and
+    # built 6 times)
+    calls = {"unstable_chain": 0, "build_O": 0}
+
+    def count(module, name):
+        found = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return found(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    for module in (r.model, r.attackability, r.synth):
+        if hasattr(module, "unstable_chain"):
+            count(module, "unstable_chain")
+    count(r.attackability, "build_O")  # the clean window stack of pa_single_step
+    vtf, K = r.vtf_model(), r.SensorSet.of([1, 2, 3], 3)
+    policy = r.AuthPolicy.periodic([1, 2], 10, 3)
+    r.sustained_attack(vtf, K, horizon=400, policy=policy, noise=r.NoiseSpec(
+        kind="uniform_elementwise", lo=-0.05, hi=0.05, seed=1))
+    r.analyze(vtf, K)
+    assert r.policy_prevents_pa(vtf, K, policy, policy.sensors).prevented
+    assert calls == {"unstable_chain": 1, "build_O": 1}
+
+
+def test_shared_witnesses_are_read_only(vtf):
+    # later verdicts and plans on the set read the same arrays, so scaling a
+    # returned witness in place would change them all
+    K = r.SensorSet.all(3)
+    _, z = r.pa_single_step(vtf, K)
+    _, v = r.pa_over_time_id2(vtf, K).witness
+    for w in (z, v):
+        with pytest.raises(ValueError, match="read-only"):
+            w *= 2.0
+    assert np.array_equal(r.pa_single_step(r.vtf_model(), K)[1], z)

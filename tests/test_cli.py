@@ -214,6 +214,24 @@ def test_analyze_rotated_double_integrator_is_attackable(tmp_path, capsys, angle
     assert lam == pytest.approx(1.0) and np.allclose(v, Q[:, 0], atol=1e-9)
 
 
+def test_analyze_report_is_strict_json(tmp_path, capsys):
+    # an authenticated sensor whose C row is zero leaves (A, P_F C) without a
+    # singular value near the threshold, so its rank margin is infinite; the
+    # policy report printed it as Infinity, which strict JSON parsers refuse
+    doc = json.loads((CONFIGS / "vtf_auth10.json").read_text())
+    doc["system"]["C"][2] = [0.0, 0.0]
+    doc["auth"] = {"sensors": [3], "period": 10}
+    cfg = tmp_path / "blind_auth.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(["analyze", "--config", str(cfg)]) == 2
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    policy = json.loads(capsys.readouterr().out, parse_constant=refuse)["policy"]
+    assert policy["reason"] == "(A, P_F C) unobservable"
+    assert policy["checks"]["obs_F_rank"] == 0 and policy["checks"]["obs_F_margin"] is None
+
+
 def test_config_and_builtin_together_exit_1(capsys):
     # one scenario per call: --builtin used to win silently over --config
     assert run_cli(["analyze", "--config", str(CONFIGS / "vtf_auth10.json"),

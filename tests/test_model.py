@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rse_lab as r
+from rse_lab.attackability import _record
 from rse_lab.model import MARGIN_BAND, RANK_TOL, rank_margin, singular_values
 from rse_lab.sim import _slot_kernels, _windows
 
@@ -117,20 +118,26 @@ def test_unstable_eigenstructure_ordering():
     assert np.allclose(lams, [-3.0, 2.0, 1.0])
 
 
+def _head(m, K):
+    """unstable_chain's first vector with its eigenvalue; None without a chain."""
+    hit = r.unstable_chain(m, K)
+    return None if hit is None else (hit[0], hit[1][0])
+
+
 def test_unstable_null_intersection_vtf(vtf):
-    lam, v = r.unstable_null_intersection(vtf, r.SensorSet.all(3))
+    lam, v = _head(vtf, r.SensorSet.all(3))
     assert lam == pytest.approx(1.0)
     assert np.allclose(np.abs(v), [1.0, 0.0], atol=1e-9)
 
 
 def test_unstable_null_intersection_absent_when_observable(vtf):
-    assert r.unstable_null_intersection(vtf, r.SensorSet.empty(3)) is None
+    assert r.unstable_chain(vtf, r.SensorSet.empty(3)) is None
 
 
 def test_unstable_null_intersection_decoupled_diag():
     # sensor 2 sees only the stable mode, so the unstable axis e1 hides from it
     m = r.SystemModel(A=np.diag([2.0, 0.5]), B=None, C=np.eye(2), delta_w=0.0, N=2)
-    hit = r.unstable_null_intersection(m, r.SensorSet.of([1], 2))
+    hit = _head(m, r.SensorSet.of([1], 2))
     assert hit is not None
     lam, v = hit
     assert lam == pytest.approx(2.0)
@@ -156,7 +163,7 @@ def test_witness_reverification_random():
         K = r.SensorSet.of(rng.choice(np.arange(1, m.p + 1),
                                       size=rng.integers(0, m.p + 1),
                                       replace=False), m.p)
-        hit = r.unstable_null_intersection(m, K)
+        hit = _head(m, K)
         if hit is None:
             continue
         lam, v = hit
@@ -235,7 +242,7 @@ def test_witness_search_matches_the_two_pass_oracle():
                 K = r.SensorSet(K, m.p)
                 compared += 1
                 got, want = r.unstable_chain(m, K), unstable_chain_search(m, K)
-                head = r.unstable_null_intersection(m, K)  # the chain's head
+                head = _record(m, K).head  # the head the verdicts read
                 if got is None:
                     assert head is None
                 else:

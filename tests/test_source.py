@@ -209,3 +209,14 @@ def test_public_methods_have_library_readers():
                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
                and fn.name not in read and (cls.name, fn.name) not in bench]
     assert not orphans, f"public methods with no reader in src/ or bench/: {orphans}"
+
+
+def test_synth_searches_no_witness_itself():
+    # synthesis builds from the attackability record of its compromised set;
+    # a search of its own would find a witness the verdict already found
+    searches = {"null_basis", "unstable_chain", "unstable_eigenstructure",
+                "build_overlap_stack"}
+    tree = ast.parse((SRC / "synth.py").read_text())
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    found = sorted((_names_read([tree]) | attrs) & searches)
+    assert not found, f"synth.py reaches witness searches: {found}"

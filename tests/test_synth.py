@@ -414,13 +414,11 @@ def test_roll_forward_resets_sawtooth(vtf):
         _roll_forward(vtf, K, inj, [5], 1e-9, 1e-9, "ramped")
 
 
-def test_cold_start_refuses_entries_before_start(vtf, monkeypatch):
-    # a direction outside null(F) shows up on the sensors before t0: with F
-    # replaced by a zero row, null(F) is the whole plane and z = e_1
-    monkeypatch.setattr(synth, "build_overlap_stack", lambda model, comp: np.zeros((1, 2)))
+def test_cold_start_refuses_entries_before_start(vtf):
+    # a direction outside null(F) shows up on the sensors before t0: z = e_1
     with pytest.raises(r.NotPerfectlyAttackable,
                        match=r"nonzero at t=4, before its start t0=5"):
-        _cold_start_plan(vtf, r.SensorSet.all(3), 20, 10.0, 5)
+        _cold_start_plan(vtf, r.SensorSet.all(3), 20, 10.0, 5, np.array([1.0, 0.0]))
 
 
 def _ramp_cases():
