@@ -12,18 +12,13 @@ import numpy as np
 
 from .detectors import detector_name
 from .model import (
-    RANK_TOL,
-    ConfigError,
     SensorSet,
     SystemModel,
+    _clean_record,
+    _SetRecord,
     _stack_rows,
-    build_overlap_stack,
-    build_O,
     classical_obs_stack,
-    null_basis,
     rank_margin,
-    unstable_chain,
-    unstable_eigenstructure,
 )
 
 __all__ = [
@@ -40,45 +35,11 @@ BRANCH_RANK_DEFICIENT_OVERLAP = "rank_deficient_overlap"
 BRANCH_FULL_RANK_OVERLAP = "full_rank_overlap"
 
 
-class _Record:
-    """One compromised set S as the verdicts and synthesis read it: the clean
-    window stack's margin and unit null vector z (None at full rank); F(S, N)'s
-    rank, margin and raw null vector null_F (None unless F and the clean stack
-    both lose rank); unstable_chain's result and head; A's unstable modes,
-    found once per model.  The arrays are shared, hence read-only."""
-
-    def __init__(self, model: SystemModel, compromised: SensorSet):
-        O_clean = build_O(model, compromised.complement())
-        rank, self.margin = rank_margin(O_clean)
-        self.z = None
-        if rank < model.n:
-            z = np.real(null_basis(O_clean)[:, 0])
-            z = z / np.linalg.norm(z)
-            scale = max(1.0, float(np.linalg.norm(O_clean, 2))) if O_clean.size else 1.0
-            if np.linalg.norm(O_clean @ z) > 10 * RANK_TOL * scale:
-                raise ConfigError(f"single-step witness fails re-verification at RANK_TOL="
-                                  f"{RANK_TOL:g}; the rank verdict is numerically unreliable")
-            self.z = z
-        F = build_overlap_stack(model, compromised)
-        self.rank_F, self.margin_F = rank_margin(F)
-        both_deficient = self.rank_F < model.n and self.z is not None
-        self.null_F = np.real(null_basis(F)[:, 0]) if both_deficient else None
-        self.chain = chain = unstable_chain(model, compromised)
-        self.head = None if chain is None else (chain[0], chain[1][0])
-        if "unstable" not in model._cache:
-            model._cache["unstable"] = unstable_eigenstructure(model.A)
-        self.unstable = model._cache["unstable"]
-        for v in (self.z, self.null_F, *(chain[1] if chain else ())):
-            if v is not None:
-                v.flags.writeable = False
-
-
-def _record(model: SystemModel, compromised: SensorSet) -> _Record:
-    """The record of (model, compromised), kept in model._cache under the set."""
+def _record(model: SystemModel, compromised: SensorSet) -> _SetRecord:
+    """The record of the clean set, compromised's complement, with its
+    witnesses found (see model._SetRecord)."""
     model.check_sensor_sets(compromised=compromised)
-    if compromised not in model._cache:
-        model._cache[compromised] = _Record(model, compromised)
-    return model._cache[compromised]
+    return _clean_record(model, compromised.complement()).find_witnesses(model)
 
 
 def pa_single_step(model: SystemModel, compromised: SensorSet):

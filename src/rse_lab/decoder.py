@@ -6,6 +6,8 @@ whose complement admits a state plus a feasible noise explanation.  Omega is
 the product of the N window slots' balls of radius delta_w: each slot's
 cross-sensor noise vector has 2-norm <= delta_w.  Feasibility is decided by
 dual-weighted least squares; each verdict carries a witness or a certificate.
+A clean set's operators come from the model's record of the set, the one the
+attackability verdicts read.
 
 decode handles one window.  decode_batch takes a whole stack of windows: all
 rows go through decode's first test, the empty support's least-squares start,
@@ -16,13 +18,15 @@ NoiseFeasibleSet.inside is the one membership test for Omega.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
 import numpy as np
 
-from .model import ConfigError, SensorSet, SystemModel, matvec_rows, singular_values
+from .model import (ConfigError, SensorSet, SystemModel, _clean_record, matvec_rows,
+                    singular_values)
 
 __all__ = [
     "NoiseFeasibleSet",
@@ -102,34 +106,17 @@ class DecodeResult:
         return float(np.linalg.norm(self.a_hat))
 
 
-class _SupportContext:
-    """Cached linear operators for one candidate clean set."""
-
-    __slots__ = ("rows", "O_c", "G", "pinv")
-
-    def __init__(self, model: SystemModel, clean: SensorSet):
-        self.rows = clean.block_rows(model.N)
-        self.O_c = model.O_full()[self.rows]
-        if self.O_c.shape[0] == 0:
-            self.G = np.zeros((model.n, 0))
-            self.pinv = self.G
-            return
-        self.pinv = np.linalg.pinv(self.O_c)
-        gram = model.noise_gram()
-        G = None
-        if gram is not None and len(clean) == model.p:
-            # weighted (BLUE) recovery on the full window; guard conditioning
-            try:
-                Si = np.linalg.inv(gram)
-                M = model.O_full().T @ Si
-                G = np.linalg.solve(M @ model.O_full(), M)
-            except np.linalg.LinAlgError:
-                G = None
-        self.G = self.pinv if G is None else G
+@functools.lru_cache(maxsize=None)
+def _clean_sets(p: int, size: int) -> tuple[SensorSet, ...]:
+    """The clean sets of the supports of one size, in decode's search order:
+    the complements of the lexicographic supports, which are the
+    (p - size)-subsets in reverse lexicographic order."""
+    subsets = list(itertools.combinations(range(1, p + 1), p - size))
+    return tuple(SensorSet(c, p) for c in reversed(subsets))
 
 
 class WindowDecoder:
-    """Reusable decoder for one model; caches per-support operators."""
+    """Reusable decoder for one model; reads the model's per-set records."""
 
     def __init__(self, model: SystemModel):
         if model.p > SUPPORT_CAP:
@@ -137,17 +124,7 @@ class WindowDecoder:
                 f"support enumeration is O(2^p); p={model.p} exceeds cap {SUPPORT_CAP}")
         self.model = model
         self.omega = NoiseFeasibleSet()
-        self._ctx: dict[tuple[int, ...], _SupportContext] = {}
-        self._all_clean = SensorSet.all(model.p)
-        self._support_order = None
-
-    def _context(self, clean: SensorSet) -> _SupportContext:
-        key = clean.indices
-        ctx = self._ctx.get(key)
-        if ctx is None:
-            ctx = _SupportContext(self.model, clean)
-            self._ctx[key] = ctx
-        return ctx
+        self._full = _clean_record(model, SensorSet.all(model.p))
 
     # -- feasibility oracle ----------------------------------------------------
     def feasibility(self, clean: SensorSet, y_window: np.ndarray,
@@ -157,17 +134,17 @@ class WindowDecoder:
         Attacked rows carry no constraint (their residual is absorbed by the
         attack estimate) and contribute no noise, which loses no generality.
         """
-        ctx = self._context(clean)
-        if ctx.O_c.shape[0] == 0:
+        rec = _clean_record(self.model, clean)
+        if rec.O_c.shape[0] == 0:
             return FeasibilityResult("feasible", np.zeros(self.model.n),
                                      np.empty(0), 0.0, 0)
-        y_c = y_window[ctx.rows]
+        y_c = y_window[rec.rows]
         N, dw, omega = self.model.N, self.model.delta_w, self.omega
 
         # quick reject: even the closest affine point cannot reach Omega, which
         # lives inside the sqrt(N) dw ball
-        x_hat = ctx.pinv @ y_c
-        r = y_c - ctx.O_c @ x_hat
+        x_hat = rec.pinv @ y_c
+        r = y_c - rec.O_c @ x_hat
         sqrt_N = np.sqrt(N)
         rho = float(np.linalg.norm(r))
         if rho > sqrt_N * dw + max(10 * omega.eps_feas, 1e-12):
@@ -176,8 +153,8 @@ class WindowDecoder:
 
         # the deterministic (weighted) least-squares start; one inside Omega is
         # never quick-rejected, as ||r_ls|| <= ||r_G|| <= sqrt(N) dw
-        x0 = ctx.G @ y_c
-        r0 = y_c - ctx.O_c @ x0
+        x0 = rec.G @ y_c
+        r0 = y_c - rec.O_c @ x0
         if omega.inside(r0, dw, N):
             return FeasibilityResult("feasible", x0, r0, 0.0, 0)
 
@@ -200,8 +177,8 @@ class WindowDecoder:
                 break
             lam = 0.5 * (lam + lam * f / g)  # averaged: plain lam f / g can oscillate
             sw = np.tile(np.sqrt(lam), len(r) // N)
-            x_hat = np.linalg.lstsq(ctx.O_c * sw[:, None], y_c * sw, rcond=None)[0]
-            r = y_c - ctx.O_c @ x_hat
+            x_hat = np.linalg.lstsq(rec.O_c * sw[:, None], y_c * sw, rcond=None)[0]
+            r = y_c - rec.O_c @ x_hat
         if stats is not None:
             stats.oracle_iterations += it
             stats.indeterminate += status == "indeterminate"
@@ -210,41 +187,27 @@ class WindowDecoder:
         return FeasibilityResult(status, x_hat, r, gap, it, lam if status == "infeasible" else None)
 
     # -- l0 decode ---------------------------------------------------------------
-    def _supports(self):
-        if self._support_order is None:
-            sensors = range(1, self.model.p + 1)
-            self._support_order = [
-                SensorSet.of(c, self.model.p)
-                for size in range(self.model.p + 1)
-                for c in itertools.combinations(sensors, size)
-            ]
-        return self._support_order
-
     def decode(self, y_window: np.ndarray) -> DecodeResult:
         y = np.asarray(y_window, dtype=float).ravel()
         if y.size != self.model.p * self.model.N:
             raise ConfigError(f"window must have p*N={self.model.p * self.model.N} entries")
         if not np.isfinite(y).all():  # Omega's norm tests read NaN as inside
             raise ConfigError("window has a NaN or infinite entry")
-        stats = DecodeStats()
-        O = self.model.O_full()
-        for support in self._supports():
+        stats, p = DecodeStats(), self.model.p
+        # supports by size, so clean sets by falling size; the empty one always fits
+        for clean in itertools.chain.from_iterable(_clean_sets(p, k) for k in range(p + 1)):
             stats.supports_tested += 1
-            clean = support.complement()
             res = self.feasibility(clean, y, stats)
-            if not res.feasible:
-                continue
-            x_hat = res.x_hat
-            w_hat = np.zeros_like(y)
-            ctx = self._context(clean)
-            if len(ctx.rows):
-                w_hat[ctx.rows] = res.w_hat
-            a_hat = np.zeros_like(y)
-            if len(support):
-                rows_a = support.block_rows(self.model.N)
-                a_hat[rows_a] = y[rows_a] - (O @ x_hat)[rows_a]
-            return DecodeResult(x_hat, a_hat, w_hat, support, True, stats)
-        raise AssertionError("support = S is always feasible; unreachable")
+            if res.feasible:
+                break
+        support = clean.complement()
+        w_hat = np.zeros_like(y)
+        w_hat[_clean_record(self.model, clean).rows] = res.w_hat
+        a_hat = np.zeros_like(y)
+        if len(support):
+            rows_a = support.block_rows(self.model.N)
+            a_hat[rows_a] = y[rows_a] - (self.model.O_full() @ res.x_hat)[rows_a]
+        return DecodeResult(res.x_hat, a_hat, w_hat, support, True, stats)
 
     def decode_batch(self, Y: np.ndarray) -> tuple[np.ndarray, dict[int, DecodeResult]]:
         """Decode every row of Y, shape (W, p*N), each a sensor-major window.
@@ -271,10 +234,9 @@ class WindowDecoder:
         (W, p*N), and the (W,) mask of the rows accepted there.  This is
         decode's first test, on the same bits: a row is accepted exactly when
         decode would give it the empty support and the same estimate."""
-        # with every sensor clean the context's rows are 0..pN-1 in order
-        ctx = self._context(self._all_clean)
-        X = matvec_rows(ctx.G, Y)
-        R = Y - matvec_rows(ctx.O_c, X)
+        # with every sensor clean the record's rows are 0..pN-1 in order
+        X = matvec_rows(self._full.G, Y)
+        R = Y - matvec_rows(self._full.O_c, X)
         return X, self.omega.inside(R, self.model.delta_w, self.model.N)
 
 
@@ -303,6 +265,5 @@ def detector_threshold(model: SystemModel) -> float:
     gram = model.noise_gram()
     if gram is None:
         return base
-    ctx = _SupportContext(model, SensorSet.all(model.p))
-    gain = float(np.linalg.norm(ctx.G, 2))
+    gain = float(np.linalg.norm(_clean_record(model, SensorSet.all(model.p)).G, 2))
     return base * max(1.0, gain * float(singular_values(model.O_full())[-1]))

@@ -97,6 +97,9 @@ class AuthPolicy:
     phase: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.sensors, SensorSet):
+            raise ConfigError("authentication sensors must be a SensorSet (see SensorSet.of), "
+                              f"got {self.sensors!r}")
         period = as_int(self.period, "authentication period")
         if period < 1:
             raise ConfigError("authentication period must be >= 1")

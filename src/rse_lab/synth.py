@@ -35,7 +35,7 @@ import numpy as np
 
 from .attackability import _record, pa_over_time_id1, pa_over_time_id2
 from .detectors import detector_name
-from .model import ConfigError, SensorSet, SystemModel, as_int, build_O, matvec_rows
+from .model import ConfigError, SensorSet, SystemModel, as_int, matvec_rows
 from .sim import AuthPolicy, NoiseSpec, _csv_text, effective_window_noise
 
 __all__ = ["NotPerfectlyAttackable", "AttackPlan", "sustained_attack"]
@@ -122,11 +122,11 @@ class _ChainBasis:
     """
 
     def __init__(self, model: SystemModel, compromised: SensorSet):
-        hit = _record(model, compromised).chain
-        if hit is None:
+        rec = _record(model, compromised)
+        if rec.chain is None:
             raise NotPerfectlyAttackable(
                 "no unstable eigenvector inside the clean sensors' null space")
-        lam, chain = hit
+        lam, chain = rec.chain
         if isinstance(lam, complex):
             self.V = chain[0]
             self.J = np.array([[lam.real, lam.imag], [-lam.imag, lam.real]])
@@ -139,7 +139,7 @@ class _ChainBasis:
             self.growing = (abs(lam) > 1.0 + 1e-12) or len(chain) >= 2
         self.q = self.V.shape[1]
         # the whole propagated trajectory must stay invisible to clean sensors
-        O_clean = build_O(model, compromised.complement())
+        O_clean = rec.O_c
         if O_clean.shape[0]:
             leak = float(np.linalg.norm(O_clean @ self.V, 2))
             if leak > 1e-6 * max(1.0, float(np.linalg.norm(O_clean, 2))):

@@ -62,6 +62,31 @@ def random_observable_model(rng, n=None, p=None, N=None, unstable=None,
     raise RuntimeError("could not draw an observable model")
 
 
+def c6_instances(rng):
+    """C6's decoder instances, without end: a two-state model of spectral
+    radius 0.5-1.2 with three sensors, delta_w 0.1 and N = 2, and a window of
+    it with per-slot noise under 0.7 delta_w and up to two attacked sensors."""
+    while True:
+        A = rng.normal(size=(2, 2))
+        A *= rng.uniform(0.5, 1.2) / max(np.abs(np.linalg.eigvals(A)))
+        C = rng.normal(size=(3, 2))
+        try:
+            m = r.SystemModel(A=A, B=None, C=C, delta_w=0.1, N=2)
+        except r.ConfigError:
+            continue
+        x0 = rng.uniform(-0.7, 0.7, 2)
+        w_rows = []
+        for _ in range(2):
+            v = rng.normal(size=3)
+            v *= rng.uniform(0, 0.7) * m.delta_w / np.linalg.norm(v)
+            w_rows.append(v)
+        y = m.O_full() @ x0 + np.stack(w_rows).T.ravel()
+        attacked = rng.choice([1, 2, 3], size=rng.integers(0, 3), replace=False)
+        for s in attacked:
+            y[(s - 1) * 2:s * 2] += rng.uniform(0.3, 1.2, 2) * rng.choice([-1, 1])
+        yield m, y
+
+
 def single_injection_attack(model, s):
     """Single-injection attack on the two-state single-sensor fixture system.
 

@@ -601,14 +601,138 @@ def sustained_attack_uncached(model, compromised, **kwargs):
     from unittest import mock
 
     from rse_lab import synth
-    from rse_lab.model import build_overlap_stack, unstable_chain, unstable_eigenstructure
+    from rse_lab.model import (build_O, build_overlap_stack, unstable_chain,
+                               unstable_eigenstructure)
 
     def searched(model, compromised):
         basis = _null_basis_svd(build_overlap_stack(model, compromised))
-        return SimpleNamespace(chain=unstable_chain(model, compromised),
+        return SimpleNamespace(O_c=build_O(model, compromised.complement()),
+                               chain=unstable_chain(model, compromised),
                                null_F=np.real(basis[:, 0]) if basis.shape[1] else None,
                                unstable=unstable_eigenstructure(model.A))
     with mock.patch.multiple(synth, _record=searched,
                              pa_over_time_id1=pa_over_time_id1_uncached,
                              pa_over_time_id2=pa_over_time_id2_uncached):
         return synth.sustained_attack(model, compromised, **kwargs)
+
+
+# -- the decoder before the per-set record -------------------------------------------
+#
+# decoder.py's _SupportContext, WindowDecoder.feasibility and decode, and
+# detector_threshold, as they were when each decoder kept its own operator
+# cache keyed by clean indices and walked a list of every support, building
+# each support's clean set as it went.  The decoder on the model's records
+# must give the same bits.
+
+class _SupportContext:
+    """Cached linear operators for one candidate clean set."""
+
+    __slots__ = ("rows", "O_c", "G", "pinv")
+
+    def __init__(self, model, clean):
+        self.rows = clean.block_rows(model.N)
+        self.O_c = model.O_full()[self.rows]
+        if self.O_c.shape[0] == 0:
+            self.G = np.zeros((model.n, 0))
+            self.pinv = self.G
+            return
+        self.pinv = np.linalg.pinv(self.O_c)
+        gram = model.noise_gram()
+        G = None
+        if gram is not None and len(clean) == model.p:
+            try:
+                Si = np.linalg.inv(gram)
+                M = model.O_full().T @ Si
+                G = np.linalg.solve(M @ model.O_full(), M)
+            except np.linalg.LinAlgError:
+                G = None
+        self.G = self.pinv if G is None else G
+
+
+class DecoderBefore:
+    def __init__(self, model):
+        from rse_lab.decoder import NoiseFeasibleSet
+        from rse_lab.model import SensorSet
+        self.model = model
+        self.omega = NoiseFeasibleSet()
+        self._ctx = {}
+        self._supports = [SensorSet.of(c, model.p) for size in range(model.p + 1)
+                          for c in itertools.combinations(range(1, model.p + 1), size)]
+
+    def _context(self, clean):
+        if clean.indices not in self._ctx:
+            self._ctx[clean.indices] = _SupportContext(self.model, clean)
+        return self._ctx[clean.indices]
+
+    def feasibility(self, clean, y_window, stats=None):
+        from rse_lab.decoder import MAX_ROUNDS, FeasibilityResult
+        ctx = self._context(clean)
+        if ctx.O_c.shape[0] == 0:
+            return FeasibilityResult("feasible", np.zeros(self.model.n), np.empty(0), 0.0, 0)
+        y_c = y_window[ctx.rows]
+        N, dw, omega = self.model.N, self.model.delta_w, self.omega
+        x_hat = ctx.pinv @ y_c
+        r = y_c - ctx.O_c @ x_hat
+        sqrt_N = np.sqrt(N)
+        rho = float(np.linalg.norm(r))
+        if rho > sqrt_N * dw + max(10 * omega.eps_feas, 1e-12):
+            return FeasibilityResult("infeasible", None, None, rho / sqrt_N - dw, 0)
+        x0 = ctx.G @ y_c
+        r0 = y_c - ctx.O_c @ x0
+        if omega.inside(r0, dw, N):
+            return FeasibilityResult("feasible", x0, r0, 0.0, 0)
+        lam = np.full(N, 1.0 / N)
+        status, gap, eps = "indeterminate", 0.0, omega.eps_feas
+        for it in range(1, MAX_ROUNDS + 1):
+            f = omega.slot_sums(r, N)
+            g, top = float(lam @ f), np.sqrt(f.max())
+            if top <= dw:
+                status = "feasible"
+            elif g > (dw + eps) ** 2:
+                status, gap = "infeasible", np.sqrt(g) - dw
+            elif top <= dw + eps and top - np.sqrt(g) <= eps:
+                status, gap = "feasible", top - dw
+            if status != "indeterminate" or it == MAX_ROUNDS:
+                break
+            lam = 0.5 * (lam + lam * f / g)
+            sw = np.tile(np.sqrt(lam), len(r) // N)
+            x_hat = np.linalg.lstsq(ctx.O_c * sw[:, None], y_c * sw, rcond=None)[0]
+            r = y_c - ctx.O_c @ x_hat
+        if stats is not None:
+            stats.oracle_iterations += it
+            stats.indeterminate += status == "indeterminate"
+        if status != "feasible":
+            x_hat = r = None
+        return FeasibilityResult(status, x_hat, r, gap, it, lam if status == "infeasible" else None)
+
+    def decode(self, y_window):
+        from rse_lab.decoder import DecodeResult, DecodeStats
+        y = np.asarray(y_window, dtype=float).ravel()
+        stats = DecodeStats()
+        O = self.model.O_full()
+        for support in self._supports:
+            stats.supports_tested += 1
+            clean = support.complement()
+            res = self.feasibility(clean, y, stats)
+            if not res.feasible:
+                continue
+            w_hat = np.zeros_like(y)
+            ctx = self._context(clean)
+            if len(ctx.rows):
+                w_hat[ctx.rows] = res.w_hat
+            a_hat = np.zeros_like(y)
+            if len(support):
+                rows_a = support.block_rows(self.model.N)
+                a_hat[rows_a] = y[rows_a] - (O @ res.x_hat)[rows_a]
+            return DecodeResult(res.x_hat, a_hat, w_hat, support, True, stats)
+        raise AssertionError("support = S is always feasible; unreachable")
+
+
+def detector_threshold_before(model):
+    from rse_lab.decoder import innovation_bound
+    from rse_lab.model import SensorSet, singular_values
+    base = innovation_bound(model)
+    if model.noise_gram() is None:
+        return base
+    gain = float(np.linalg.norm(_SupportContext(model, SensorSet.all(model.p)).G, 2))
+    return base * max(1.0, gain * float(singular_values(model.O_full())[-1]))

@@ -14,7 +14,8 @@ import rse_lab as r
 from rse_lab.decoder import WindowDecoder
 from rse_lab.model import RANK_TOL, rank_margin
 
-from conftest import random_observable_model, record_acceptance, single_injection_attack
+from conftest import (c6_instances, random_observable_model, record_acceptance,
+                      single_injection_attack)
 from oracles import exhaustive_min_support, min_direction_on_grid
 
 NO_ATTACK_BOUND = 0.0789
@@ -217,29 +218,13 @@ def test_criterion_5_fixture_reproductions(stable_two_state, stable_two_state_n3
 
 
 def test_criterion_6_decoder_oracle():
-    rng = np.random.default_rng(777)
+    instances = c6_instances(np.random.default_rng(777))
     t0 = time.monotonic()
     kept = ambiguous = rejected = 0
     mismatches = []
     while kept < 200:
-        A = rng.normal(size=(2, 2))
-        A *= rng.uniform(0.5, 1.2) / max(np.abs(np.linalg.eigvals(A)))
-        C = rng.normal(size=(3, 2))
-        try:
-            m = r.SystemModel(A=A, B=None, C=C, delta_w=0.1, N=2)
-        except r.ConfigError:
-            continue
+        m, y = next(instances)
         dec = WindowDecoder(m)
-        x0 = rng.uniform(-0.7, 0.7, 2)
-        w_rows = []
-        for _ in range(2):
-            v = rng.normal(size=3)
-            v *= rng.uniform(0, 0.7) * m.delta_w / np.linalg.norm(v)
-            w_rows.append(v)
-        y = m.O_full() @ x0 + np.stack(w_rows).T.ravel()
-        attacked = rng.choice([1, 2, 3], size=rng.integers(0, 3), replace=False)
-        for s in attacked:
-            y[(s - 1) * 2:s * 2] += rng.uniform(0.3, 1.2, 2) * rng.choice([-1, 1])
         # the grid oracle only sees [-2, 2]^2: keep instances whose candidate
         # feasible witnesses all live inside that box
         decoder_feas = {}

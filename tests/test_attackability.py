@@ -308,7 +308,7 @@ def test_one_item_searches_each_witness_once(monkeypatch):
     for module in (r.model, r.attackability, r.synth):
         if hasattr(module, "unstable_chain"):
             count(module, "unstable_chain")
-    count(r.attackability, "build_O")  # the clean window stack of pa_single_step
+    count(r.model, "build_O")  # the clean window stack of each record
     vtf, K = r.vtf_model(), r.SensorSet.of([1, 2, 3], 3)
     policy = r.AuthPolicy.periodic([1, 2], 10, 3)
     r.sustained_attack(vtf, K, horizon=400, policy=policy, noise=r.NoiseSpec(

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import rse_lab as r
 from rse_lab import decoder
 from rse_lab.decoder import DecodeStats, NoiseFeasibleSet, WindowDecoder
 
-from conftest import random_observable_model
-from oracles import grid_feasibility, weighted_ls_value
+from conftest import c6_instances, random_observable_model
+from oracles import DecoderBefore, detector_threshold_before, grid_feasibility, weighted_ls_value
 
 
 def stack(model, per_step_rows):
@@ -268,6 +269,12 @@ def test_oracle_indeterminate_band(monkeypatch):
 # without sensor 2 has a witness just inside Omega; an alternating-projection
 # oracle that gave up after its iteration cap called it infeasible and the
 # decoder returned the larger support {1, 2}.
+def _supports(p):
+    """Every support in decode's search order: by size, lexicographic within one."""
+    return [r.SensorSet(c, p) for size in range(p + 1)
+            for c in itertools.combinations(range(1, p + 1), size)]
+
+
 BOUNDARY_A = [[-0.3265521170934398, -0.008027735879524999, -0.4256668436392038],
               [-0.1329959584038018, -0.2353285739020545, 0.1707539266451405],
               [-0.8993071648422293, -0.17447105508354113, 0.6938448350931822]]
@@ -299,7 +306,7 @@ def test_decode_accepts_first_feasible_support_near_boundary():
     assert dec.omega.inside(res.w_hat[rows], dw, N)
     np.testing.assert_allclose(O[rows] @ res.x_hat + res.w_hat[rows], y[rows], rtol=0, atol=1e-12)
     # every earlier support is infeasible, each with a certificate
-    for support in dec._supports()[:res.stats.supports_tested - 1]:
+    for support in _supports(m.p)[:res.stats.supports_tested - 1]:
         rows = support.complement().block_rows(N)
         verdict = dec.feasibility(support.complement(), y)
         assert verdict.status == "infeasible"
@@ -322,7 +329,7 @@ def test_feasibility_verdicts_carry_certificates():
             y = O @ rng.normal(size=m.n) + w.T.ravel()
             for i in rng.choice(p, size=2, replace=False):
                 y[i * N:(i + 1) * N] += rng.choice([-1, 1], size=N) * rng.uniform(0.5, 1.5, N) * dw
-            for support in dec._supports()[:dec.decode(y).stats.supports_tested]:
+            for support in _supports(p)[:dec.decode(y).stats.supports_tested]:
                 rows = support.complement().block_rows(N)
                 v = dec.feasibility(support.complement(), y)
                 if v.feasible:
@@ -413,3 +420,55 @@ def test_decode_refuses_non_finite_windows(vtf):
             dec.decode(yb)
         with pytest.raises(r.ConfigError, match="window 2 has a NaN or infinite"):
             dec.decode_batch(np.stack([y, y, yb, y]))
+
+
+def test_feasibility_refuses_a_clean_set_sized_for_another_model(vtf):
+    # a clean set of the wrong size once read past the window (IndexError)
+    # or passed quietly as feasible
+    dec, y = WindowDecoder(vtf), np.zeros(vtf.p * vtf.N)
+    for clean in (r.SensorSet.all(4), r.SensorSet.of([1], 2)):
+        with pytest.raises(r.ConfigError, match=re.escape(f"clean {clean} is sized for {clean.p}")):
+            dec.feasibility(clean, y)
+
+
+def _l0_windows(rng, m, count, attacked, attack, noise):
+    """Windows of m with `attacked` sensors at attack (lo, hi) times delta_w
+    per entry and per-slot noise norms at noise (lo, hi) times delta_w, as
+    the l0 benchmark workloads draw them."""
+    p, N, dw = m.p, m.N, m.delta_w
+    for _ in range(count):
+        w = rng.normal(size=(N, p))
+        w *= dw * rng.uniform(*noise, size=(N, 1)) / np.linalg.norm(w, axis=1, keepdims=True)
+        y = m.O_full() @ rng.normal(size=m.n) + w.T.ravel()
+        for i in rng.choice(p, size=attacked, replace=False):
+            y[i * N:(i + 1) * N] += rng.choice([-1.0, 1.0], size=N) * rng.uniform(*attack, N) * dw
+        yield y
+
+
+def test_decoder_on_the_records_matches_the_per_decoder_cache():
+    # the decoder once kept its own operators per clean set and walked every
+    # support; on the model's records it gives the same bits, on C6's
+    # instances and on l0_wide- and l0_boundary-like windows
+    instances = c6_instances(np.random.default_rng(777))
+    cases = [(m, [y]) for m, y in itertools.islice(instances, 340)]
+    rng = np.random.default_rng(40)
+    for k in range(6):
+        for p, attacked, noise in ((8, 3, (0.0, 0.5)), (10, 4, (0.0, 0.5)), (6, 2, (0.92, 0.95))):
+            m = random_observable_model(rng, n=3, p=p, N=3, weighted=bool(k % 2))
+            count = 60 if p == 6 else 4
+            cases.append((m, list(_l0_windows(rng, m, count, attacked, (20.0, 100.0), noise))))
+    m = random_observable_model(rng, n=3, p=7, N=3, weighted=True)  # noise-level attacks
+    cases.append((m, list(_l0_windows(rng, m, 30, 3, (0.5, 1.5), (0.9, 1.0)))))
+    seen = collections.Counter()
+    for m, windows in cases:
+        new, old = WindowDecoder(m), DecoderBefore(m)
+        assert r.detector_threshold(m) == detector_threshold_before(m)
+        for y in windows:
+            got, want = new.decode(y), old.decode(y)
+            assert got.support == want.support and got.stats == want.stats
+            for name in ("x_hat", "a_hat", "w_hat"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            seen[len(got.support), got.stats.oracle_iterations > 0] += 1
+    sizes = {size for size, _ in seen}
+    assert sizes >= {0, 1, 2, 3, 4} and any(looped for _, looped in seen), seen

@@ -25,6 +25,27 @@ def test_sensor_set_basics():
         r.SensorSet((0,), 3)
 
 
+def test_sensor_indices_must_be_integers():
+    # a non-integral index was truncated: {2.7} read as {2}, and bools and
+    # strings passed through int()
+    for bad in (2.7, np.float64(1.9), True, "2"):
+        with pytest.raises(r.ConfigError, match="sensor index must be an integer"):
+            r.SensorSet.of([bad], 3)
+        with pytest.raises(r.ConfigError, match="sensor index must be an integer"):
+            r.SensorSet((bad,), 3)
+    with pytest.raises(r.ConfigError, match="sensor index must be an integer"):
+        r.AuthPolicy.periodic([1.5], 10, 3)
+    assert r.SensorSet.of([np.int64(3), 1.0], 3).indices == (1, 3)
+
+
+def test_a_list_for_a_sensor_set_raises_config_error(vtf):
+    # a plain list once ended in AttributeError: 'list' object has no attribute 'p'
+    with pytest.raises(r.ConfigError, match=r"compromised must be a SensorSet \(see SensorSet.of\)"):
+        r.pa_single_step(vtf, [1, 2])
+    with pytest.raises(r.ConfigError, match=r"sensors must be a SensorSet \(see SensorSet.of\)"):
+        r.run_closed_loop(vtf, 10, r.NoiseSpec(kind="zero"), policy=r.AuthPolicy([1, 2], 10))
+
+
 def test_build_O_stable_two_state(stable_two_state):
     O = r.build_O(stable_two_state, r.SensorSet.all(1))
     assert np.allclose(O, [[1.0, 0.0], [0.3, 1.0]])

@@ -220,3 +220,36 @@ def test_synth_searches_no_witness_itself():
     attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     found = sorted((_names_read([tree]) | attrs) & searches)
     assert not found, f"synth.py reaches witness searches: {found}"
+
+
+def _method(path: str, cls: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((SRC / path).read_text())
+    (owner,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls]
+    (fn,) = [n for n in owner.body if isinstance(n, ast.FunctionDef) and n.name == name]
+    return fn
+
+
+def test_window_decoder_keeps_no_cache_of_its_own():
+    # per-set operators live in the model's records, one cache for the
+    # decoder and the verdicts: the decoder's constructor stores no dict
+    fn = _method("decoder.py", "WindowDecoder", "__init__")
+    stores = [n for n in ast.walk(fn) if isinstance(n, (ast.Assign, ast.AnnAssign))]
+    assert stores
+    found = [f"{ast.unparse(n)} (line {n.lineno})" for n in stores
+             if isinstance(n.value, (ast.Dict, ast.DictComp))
+             or ast.unparse(n.value).startswith("dict(")]
+    assert not found, f"dict caches stored by WindowDecoder.__init__: {found}"
+
+
+def test_decode_builds_no_sensor_set_per_support():
+    # the search walks prebuilt clean sets, and only the accepted one is
+    # complemented into its support: no sensor set is built per tested support
+    fn = _method("decoder.py", "WindowDecoder", "decode")
+    loops = [n for n in ast.walk(fn) if isinstance(n, (ast.For, ast.While))]
+    assert loops
+    banned = ("complement", "SensorSet", "SensorSet.of")
+    found = sorted({f"{ast.unparse(n.func)} (line {n.lineno})" for loop in loops
+                    for n in ast.walk(loop) if isinstance(n, ast.Call)
+                    and (ast.unparse(n.func) in banned
+                         or getattr(n.func, "attr", None) == "complement")})
+    assert not found, f"sensor sets built inside decode's loops: {found}"
